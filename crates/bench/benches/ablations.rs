@@ -10,7 +10,7 @@
 use fits_bench::Artifacts;
 use fits_core::{synthesize, translate, FitsSet, SynthOptions, TranslateError};
 use fits_kernels::kernels::{Kernel, Scale};
-use fits_sim::{Machine, Sa1100Config};
+use fits_sim::{CompiledProgram, Machine, Sa1100Config};
 
 const KERNELS: &[Kernel] = &[
     Kernel::Crc32,
@@ -82,8 +82,12 @@ fn ablation_toggle_aware(artifacts: &Artifacts, scale: Scale) {
             let synthesis = synthesize(&prof, &opts);
             let t = translate(&program, &synthesis.config).expect("translates");
             let set = FitsSet::load(&t.fits).expect("loads");
-            let mut m = Machine::new(set);
-            let (_, sim) = m.run_timed(&Sa1100Config::icache_16k()).expect("runs");
+            let compiled = CompiledProgram::compile(&set).expect("lifts");
+            let trace = Machine::new(set).run_recorded(&compiled).expect("runs");
+            let sim = trace
+                .price_all(&compiled, &[Sa1100Config::icache_16k()])
+                .expect("prices")
+                .remove(0);
             per_access[i] = sim.icache.output_toggles as f64 / sim.icache.accesses.max(1) as f64;
         }
         println!(

@@ -15,7 +15,7 @@ use std::time::Instant;
 use fits_core::{profile, synthesize, translate, FitsSet, SynthOptions};
 use fits_isa::Instr;
 use fits_kernels::kernels::{Kernel, Scale};
-use fits_sim::{Ar32Set, Cache as SimCache, CacheConfig, Machine, Sa1100Config};
+use fits_sim::{Ar32Set, Cache as SimCache, CacheConfig, CompiledProgram, Machine, Sa1100Config};
 
 /// Times `f` over `samples` batches of `iters` calls and prints the median
 /// per-call latency, plus throughput when `elements` per call is known.
@@ -53,25 +53,35 @@ fn bench_simulator() {
         let mut m = Machine::new(Ar32Set::load(&program));
         black_box(m.run().unwrap());
     });
-    bench("simulator", "timed_ar32", Some(steps), || {
-        let mut m = Machine::new(Ar32Set::load(&program));
-        black_box(m.run_timed(&Sa1100Config::icache_16k()).unwrap());
-    });
-    // Execute-once/replay-many: one functional execution feeding four timing
-    // models — compare against 4x the timed_ar32 line to see the win.
+    // Timed runs go through the one timing engine: lift once, then record
+    // one execution and price it per call.
+    let compiled = CompiledProgram::compile(&Ar32Set::load(&program)).unwrap();
+    let timed = |cfgs: &[Sa1100Config]| {
+        let trace = Machine::new(Ar32Set::load(&program))
+            .run_recorded(&compiled)
+            .unwrap();
+        black_box(trace.price_all(&compiled, cfgs).unwrap());
+    };
+    let single = [Sa1100Config::icache_16k()];
+    bench("simulator", "timed_ar32", Some(steps), || timed(&single));
+    // Execute-once/replay-many: one functional execution priced for four
+    // configurations — compare against 4x the timed_ar32 line to see the
+    // win.
     let multi_cfgs = [16 * 1024, 8 * 1024, 4 * 1024, 2 * 1024].map(|bytes| {
         Sa1100Config::icache_16k()
             .with_icache_bytes(bytes)
             .expect("sweep sizes divide the geometry")
     });
     bench("simulator", "timed_multi_ar32_x4", Some(steps), || {
-        let mut m = Machine::new(Ar32Set::load(&program));
-        black_box(m.run_timed_multi(&multi_cfgs).unwrap());
+        timed(&multi_cfgs);
     });
     let flow = fits_core::FitsFlow::new().run(&program).unwrap();
+    let fits_compiled = CompiledProgram::compile(&FitsSet::load(&flow.fits).unwrap()).unwrap();
     bench("simulator", "timed_fits", Some(steps), || {
-        let mut m = Machine::new(FitsSet::load(&flow.fits).unwrap());
-        black_box(m.run_timed(&Sa1100Config::icache_16k()).unwrap());
+        let trace = Machine::new(FitsSet::load(&flow.fits).unwrap())
+            .run_recorded(&fits_compiled)
+            .unwrap();
+        black_box(trace.price_all(&fits_compiled, &single).unwrap());
     });
 }
 

@@ -1,8 +1,8 @@
 //! `simperf` — simulator throughput and suite wall-clock harness.
 //!
 //! Measures what the experiment harness actually pays for: functional
-//! simulation speed (MIPS), trace-driven timing speed (single model and the
-//! execute-once/replay-many path), and the wall-clock of a full 21-kernel ×
+//! simulation speed (MIPS), timing speed (record + price of one
+//! configuration, and the execute-once/replay-many path), and the wall-clock of a full 21-kernel ×
 //! 4-configuration suite run at test scale. Results are written to
 //! `BENCH.json` (hand-rolled JSON; the workspace has no serde) so CI can
 //! archive a throughput record per commit without gating on the numbers,
@@ -221,21 +221,27 @@ fn run(opts: &Options) -> Result<(), SimperfError> {
     })?;
     let functional_mips = steps as f64 * f64::from(calls) / secs / 1e6;
 
+    // Block-compile once; the timed and recorder probes re-execute per
+    // call, the replay probe prices a pre-recorded trace without
+    // re-executing.
+    let probe_set = Ar32Set::load(&program);
+    let compiled = CompiledProgram::compile(&probe_set)
+        .map_err(|e| SimperfError::Pipeline(ExperimentError::Sim(e)))?;
+    // One timed run of one configuration: record, then price.
     let (secs, calls) = measure(budget, || {
         let mut m = Machine::new(Ar32Set::load(&program));
+        let trace = m
+            .run_recorded(&compiled)
+            .map_err(|e| SimperfError::Pipeline(ExperimentError::Sim(e)))?;
         black_box(
-            m.run_timed(&Sa1100Config::icache_16k())
+            trace
+                .price(&compiled, &Sa1100Config::icache_16k())
                 .map_err(|e| SimperfError::Pipeline(ExperimentError::Sim(e)))?,
         );
         Ok(())
     })?;
     let timed_mips = steps as f64 * f64::from(calls) / secs / 1e6;
 
-    // Block-compile once; the recorder probe re-executes per call, the
-    // replay probe prices a pre-recorded trace without re-executing.
-    let probe_set = Ar32Set::load(&program);
-    let compiled = CompiledProgram::compile(&probe_set)
-        .map_err(|e| SimperfError::Pipeline(ExperimentError::Sim(e)))?;
     let (secs, calls) = measure(budget, || {
         let mut m = Machine::new(Ar32Set::load(&program));
         black_box(
@@ -265,12 +271,21 @@ fn run(opts: &Options) -> Result<(), SimperfError> {
     let flow = FitsFlow::new()
         .run(&program)
         .map_err(|e| SimperfError::Pipeline(ExperimentError::Flow(e)))?;
+    let fits_compiled = FitsSet::load(&flow.fits)
+        .map_err(|e| SimperfError::Pipeline(ExperimentError::Decode(e)))
+        .and_then(|set| {
+            CompiledProgram::compile(&set)
+                .map_err(|e| SimperfError::Pipeline(ExperimentError::Sim(e)))
+        })?;
     let (secs, calls) = measure(budget, || {
         let set = FitsSet::load(&flow.fits)
             .map_err(|e| SimperfError::Pipeline(ExperimentError::Decode(e)))?;
-        let mut m = Machine::new(set);
+        let trace = Machine::new(set)
+            .run_recorded(&fits_compiled)
+            .map_err(|e| SimperfError::Pipeline(ExperimentError::Sim(e)))?;
         black_box(
-            m.run_timed(&Sa1100Config::icache_16k())
+            trace
+                .price(&fits_compiled, &Sa1100Config::icache_16k())
                 .map_err(|e| SimperfError::Pipeline(ExperimentError::Sim(e)))?,
         );
         Ok(())

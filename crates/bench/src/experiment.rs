@@ -3,11 +3,12 @@
 //! SA-1100 model) swept over the benchmark suite.
 //!
 //! The four timed configurations are measured with the
-//! execute-once/replay-many engine ([`Machine::run_timed_multi`]): each
-//! kernel's native binary executes **once** feeding both ARM cache
-//! geometries, and its FITS binary executes **once** feeding both FITS
-//! geometries — the per-configuration [`SimResult`]s are bit-identical to
-//! separate per-configuration runs.
+//! execute-once/replay-many engine ([`Machine::run_recorded`], then
+//! [`fits_sim::RecordedTrace::price_all`]): each kernel's native binary
+//! executes **once** and is priced for both ARM cache geometries, and its
+//! FITS binary executes **once** and is priced for both FITS geometries —
+//! the per-configuration [`SimResult`]s are bit-identical to separate
+//! per-configuration runs.
 
 use std::cell::Cell;
 use std::fmt;
@@ -507,7 +508,8 @@ mod tests {
     /// The execute-once/replay-many contract: `run_kernel` performs exactly
     /// one ARM execution and one FITS execution for its four timed
     /// configurations, and each configuration's statistics are bit-identical
-    /// to a dedicated per-configuration `run_timed` call.
+    /// to a dedicated per-configuration run (one execution and one
+    /// single-configuration pricing each).
     #[test]
     fn run_kernel_executes_once_per_isa() {
         let before = timed_executions_on_this_thread();
@@ -518,20 +520,21 @@ mod tests {
             "four timed configurations must cost one ARM + one FITS execution"
         );
 
-        // Old-style independent runs, one execution per configuration.
+        // Independent runs, one execution per configuration.
         let arts = Artifacts::new();
         let program = arts.program(Kernel::Sha, Scale::test()).unwrap();
         let flow = arts.flow(Kernel::Sha, Scale::test()).unwrap();
+        fn timed<S: fits_sim::InstrSet>(set: S, sa: &fits_sim::Sa1100Config) -> SimResult {
+            let compiled = fits_sim::CompiledProgram::compile(&set).unwrap();
+            let trace = Machine::new(set).run_recorded(&compiled).unwrap();
+            trace.price(&compiled, sa).unwrap()
+        }
         for cfg in Config::ALL {
             let sa = cfg.scenario().machine_config();
             let sim = if cfg.is_fits() {
-                let set = fits_core::FitsSet::load(&flow.fits).unwrap();
-                Machine::new(set).run_timed(&sa).unwrap().1
+                timed(fits_core::FitsSet::load(&flow.fits).unwrap(), &sa)
             } else {
-                Machine::new(Ar32Set::load(&program))
-                    .run_timed(&sa)
-                    .unwrap()
-                    .1
+                timed(Ar32Set::load(&program), &sa)
             };
             assert_eq!(
                 r.run(cfg).sim,

@@ -5,12 +5,13 @@
 //!
 //! The hard-coded side below deliberately spells out what the old code
 //! baked in: `Sa1100Config::icache_16k()` resized by hand, one dedicated
-//! `run_timed` per configuration, `TechParams::sa1100()` pricing.
+//! run of the interpreted reference model per configuration,
+//! `TechParams::sa1100()` pricing.
 
 use fits_bench::{run_suite_with, Artifacts, Config};
 use fits_kernels::kernels::{Kernel, Scale};
 use fits_power::{cache_power, chip_power_with, DecodeKind, TechParams};
-use fits_sim::{Ar32Set, Machine, Sa1100Config};
+use fits_sim::{Ar32Set, Sa1100Config};
 
 fn bits_eq(a: f64, b: f64) -> bool {
     a.to_bits() == b.to_bits()
@@ -37,10 +38,9 @@ fn sa1100_scenario_is_bit_identical_to_the_hard_coded_path() {
                 .expect("paper sizes divide the SA-1100 geometry");
             let sim = if cfg.is_fits() {
                 let set = fits_core::FitsSet::load(&flow.fits).expect("decode");
-                Machine::new(set).run_timed(&sa).expect("fits run").1
+                fits_sim_ref::run_timed(&set, &sa).expect("fits run").1
             } else {
-                Machine::new(Ar32Set::load(&program))
-                    .run_timed(&sa)
+                fits_sim_ref::run_timed(&Ar32Set::load(&program), &sa)
                     .expect("arm run")
                     .1
             };

@@ -4,12 +4,12 @@
 
 use fits_core::{profile::profile, synthesize, translate, FitsSet, SynthOptions};
 use fits_kernels::kernels::{Kernel, Scale};
-use fits_sim::{Ar32Set, Machine};
+use fits_sim::Ar32Set;
 
 fn stores<S: fits_sim::InstrSet>(set: S, lim: usize) -> Vec<(u32, u32, u32)> {
     let mut v = Vec::new();
-    let mut m = Machine::new(set);
-    let _ = m.run_observed(|_, info| {
+    // The interpreted reference loop reports every retired step.
+    let _ = fits_sim_ref::run_observed(&set, |_, info| {
         if let Some(mem) = &info.mem {
             // Skip stores of code addresses (saved LR): those differ
             // between the ISAs' address spaces by design.

@@ -56,8 +56,6 @@ pub enum FitsOp {
 #[derive(Clone, Debug)]
 pub struct FitsSet {
     ops: Vec<FitsOp>,
-    /// Per-op static metadata, parallel to `ops` (built once at load).
-    metas: Vec<fits_sim::OpMeta>,
     /// Packed instruction words (two 16-bit instructions per 32-bit word)
     /// for fetch/toggle accounting.
     words: Vec<u32>,
@@ -411,7 +409,6 @@ impl FitsSet {
             words.push(lo | (hi << 16));
         }
         Ok(FitsSet {
-            metas: ops.iter().map(op_meta).collect(),
             ops,
             words,
             data: program.data.clone(),
@@ -474,11 +471,6 @@ impl InstrSet for FitsSet {
             FitsOp::Jalr(_) => fits_sim::OpControl::Indirect,
             FitsOp::WideImm { .. } | FitsOp::WideMem { .. } => fits_sim::OpControl::Sequential,
         }
-    }
-
-    fn op_with_meta(&self, pc: u32) -> Result<(&FitsOp, &fits_sim::OpMeta), SimError> {
-        let index = self.index_of(pc)?;
-        Ok((&self.ops[index], &self.metas[index]))
     }
 
     fn execute(&self, op: &FitsOp, ctx: &mut ExecCtx<'_>) -> Result<StepOutcome, SimError> {

@@ -378,7 +378,7 @@ impl FitsFlow {
     /// (sweep harnesses profile each program once and synthesize many
     /// configurations from it).
     ///
-    /// `prof` must be the output of [`profile`] on this same `program`: it
+    /// `prof` must be the output of [`profile`](crate::profile()) on this same `program`: it
     /// carries the reference [`RunOutput`] the differential verification
     /// compares against.
     ///

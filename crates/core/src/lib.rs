@@ -4,7 +4,7 @@
 //! Synthesis. Given a program compiled for the native 32-bit AR32 ISA,
 //! this crate
 //!
-//! 1. **profiles** it ([`profile`]) — opcode families, immediate and
+//! 1. **profiles** it ([`profile`](profile())) — opcode families, immediate and
 //!    displacement distributions, condition-code usage, register pressure,
 //!    2-vs-3-operand feasibility;
 //! 2. **synthesizes** a 16-bit application-specific instruction set
@@ -12,7 +12,7 @@
 //!    per-category immediate dictionaries, organized in the paper's
 //!    BIS/SIS/AIS tiers;
 //! 3. **translates** the native binary 1-to-1/1-to-n into the synthesized
-//!    ISA ([`translate`]) with branch relaxation;
+//!    ISA ([`translate`](translate())) with branch relaxation;
 //! 4. models the **programmable decoder** ([`decoder`]) that the synthesized
 //!    configuration is "downloaded" to; and
 //! 5. **executes** the 16-bit binary ([`exec`]) on the same simulated

@@ -3,7 +3,7 @@
 //!
 //! The flow mirrors [`crate::flow::FitsFlow`] for a set: merge the member
 //! profiles under a workload-mix weight vector ([`Profile::merge_weighted`]),
-//! synthesize one [`DecoderConfig`] from the union requirement analysis,
+//! synthesize one [`DecoderConfig`](crate::DecoderConfig) from the union requirement analysis,
 //! translate **every** member program under it (widening the dictionary
 //! budget on translation failure, like the per-app flow), and then enforce
 //! the regression bound: the shared ISA is rejected if any member kernel's

@@ -321,7 +321,7 @@ fn record_instr(profile: &mut Profile, instr: &Instr, index: usize, executions: 
 /// profiling run records a compact block trace
 /// ([`Machine::run_recorded`]) and the per-instruction execution counts
 /// fall out of a difference array over its entries — no per-step observer
-/// closure or `StepInfo` construction.
+/// closure.
 ///
 /// # Errors
 ///

@@ -13,7 +13,7 @@
 //!   the paper's Figure 5.
 //!
 //! The synthesized FITS instruction set itself is *not* defined here — it is
-//! produced per-application by [`fits-core`]'s synthesis pass. This crate
+//! produced per-application by `fits-core`'s synthesis pass. This crate
 //! supplies the shared vocabulary (registers, ALU flag semantics, the
 //! internal operation set) both executors are built on.
 //!

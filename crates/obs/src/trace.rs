@@ -1,17 +1,22 @@
-//! The simulation-side trace collector: rides the machine's step-observer
-//! hook and the timing model's [`CacheEventObserver`] seam to stream per-PC
-//! retire counts, per-set I-cache events and branch outcomes into compact
-//! histograms — without perturbing a single counter of the [`SimResult`].
+//! The simulation-side trace collector: rides the timing replay's
+//! [`CacheEventObserver`] seam and the recorded trace's per-op execution
+//! counts and branch outcomes to build per-PC retire counts, per-set
+//! I-cache events and branch histograms — without perturbing a single
+//! counter of the [`SimResult`].
 //!
 //! The contract the differential tests enforce: for any machine and
 //! configuration, [`trace_timed_run`] returns a `(RunOutput, SimResult)`
-//! pair **bit-identical** to [`Machine::run_timed`]'s. The collector only
+//! pair **bit-identical** to an untraced record + [`RecordedTrace::price`]
+//! (and to the interpreted reference model), and every histogram equals
+//! what a per-step collector would have counted. The collector only
 //! listens; it never feeds back into execution or timing.
+//!
+//! [`RecordedTrace::price`]: fits_sim::RecordedTrace::price
 
 use fits_isa::TEXT_BASE;
 use fits_sim::{
-    CacheEventObserver, InstrSet, Machine, RunOutput, Sa1100Config, SimError, SimResult,
-    TimingModel,
+    validate_config, CacheEventObserver, CompiledProgram, InstrSet, Machine, RunOutput,
+    Sa1100Config, SimError, SimResult,
 };
 
 use crate::hist::{BranchHistogram, PcHistogram, SetHistogram};
@@ -94,10 +99,18 @@ impl SimTrace {
 /// trace collector attached, returning the functional output, the timing
 /// statistics and the collected [`SimTrace`].
 ///
-/// The `(RunOutput, SimResult)` pair is bit-identical to
-/// [`Machine::run_timed`] with the same configuration — the collector rides
-/// [`TimingModel::observe_with`], which accumulates exactly the counters of
-/// the untraced [`TimingModel::observe`] path.
+/// The run is the library's one timing engine: lift the program
+/// ([`CompiledProgram::compile`]), record one execution
+/// ([`Machine::run_recorded`]) and replay it for `cfg` with the cache-event
+/// collector attached ([`RecordedTrace::price_with`]). Retire counts come
+/// from [`RecordedTrace::exec_counts`] and branch outcomes from
+/// [`RecordedTrace::branches`], so the `(RunOutput, SimResult)` pair is
+/// bit-identical to an untraced [`RecordedTrace::price`].
+///
+/// [`RecordedTrace::price_with`]: fits_sim::RecordedTrace::price_with
+/// [`RecordedTrace::exec_counts`]: fits_sim::RecordedTrace::exec_counts
+/// [`RecordedTrace::branches`]: fits_sim::RecordedTrace::branches
+/// [`RecordedTrace::price`]: fits_sim::RecordedTrace::price
 ///
 /// # Errors
 ///
@@ -106,23 +119,31 @@ pub fn trace_timed_run<S: InstrSet>(
     machine: &mut Machine<S>,
     cfg: &Sa1100Config,
 ) -> Result<(RunOutput, SimResult, SimTrace), SimError> {
+    // Reject a degenerate geometry before running, and before the
+    // collector sizes its per-set histogram from it.
+    validate_config(&cfg.icache)?;
+    validate_config(&cfg.dcache)?;
     let op_size = machine.instr_set().op_size();
-    let mut timing = TimingModel::new(cfg)?;
-    let mut retires = PcHistogram::new(TEXT_BASE, op_size);
-    let mut branches = BranchHistogram::new(TEXT_BASE, op_size);
+    let compiled = CompiledProgram::compile(machine.instr_set())?;
+    let recorded = machine.run_recorded(&compiled)?;
     let mut cache = CacheEvents::new(cfg);
-    let output = machine.run_observed(|_, info| {
-        retires.record(info.pc);
-        if let Some(b) = &info.branch {
-            // BTFNT, as the timing model predicts: backward predicted
-            // taken, forward predicted not-taken.
-            branches.record(info.pc, b.taken, b.taken != b.backward);
+    let result = recorded.price_with(&compiled, cfg, &mut cache)?;
+
+    let templates = compiled.templates();
+    let mut retires = PcHistogram::new(TEXT_BASE, op_size);
+    for (template, count) in templates.iter().zip(recorded.exec_counts(templates.len())) {
+        if count > 0 {
+            retires.add(template.pc, count);
         }
-        timing.observe_with(info, &mut cache);
-    })?;
-    let result = timing.finish_with(&mut cache);
+    }
+    let mut branches = BranchHistogram::new(TEXT_BASE, op_size);
+    for (index, taken, backward) in recorded.branches() {
+        // BTFNT, as the timing model predicts: backward predicted taken,
+        // forward predicted not-taken.
+        branches.record(templates[index as usize].pc, taken, taken != backward);
+    }
     Ok((
-        output,
+        recorded.output,
         result,
         SimTrace {
             retires,
@@ -180,9 +201,10 @@ mod tests {
     fn traced_run_is_bit_identical_to_untraced() {
         let program = Kernel::Bitcount.compile(Scale::test()).unwrap();
         let cfg = Sa1100Config::icache_8k();
-        let (ref_out, ref_sim) = Machine::new(Ar32Set::load(&program))
-            .run_timed(&cfg)
-            .unwrap();
+        let set = Ar32Set::load(&program);
+        let compiled = CompiledProgram::compile(&set).unwrap();
+        let recorded = Machine::new(set).run_recorded(&compiled).unwrap();
+        let (ref_out, ref_sim) = (recorded.output, recorded.price(&compiled, &cfg).unwrap());
         let (out, sim, _trace) =
             trace_timed_run(&mut Machine::new(Ar32Set::load(&program)), &cfg).unwrap();
         assert_eq!(out, ref_out);

@@ -1,110 +1,148 @@
 //! The observability contract, enforced differentially: enabling trace
-//! collection NEVER changes simulation results.
+//! collection NEVER changes simulation results, and what it collects is
+//! exactly what happened.
 //!
 //! Two layers of evidence:
 //!
-//! * end-to-end, real programs: for a grid of kernels × ISAs × I-cache
-//!   sizes, [`trace_timed_run`]'s `(RunOutput, SimResult)` must be
-//!   bit-identical to the untraced [`Machine::run_timed`];
+//! * end-to-end, real programs: for every kernel × both ISAs × both paper
+//!   I-cache sizes, [`trace_timed_run`] (record + replay with the
+//!   cache-event collector) must return the `(RunOutput, SimResult)` of
+//!   the interpreted reference model and the same per-PC retire counts,
+//!   per-site branch outcomes, per-word fetches, per-set I-cache events,
+//!   D-cache totals and stray buckets a per-step collector on that model
+//!   counts;
 //! * property-style, synthetic streams: for seeded random [`StepInfo`]
-//!   streams (valid or not as real programs), `TimingModel::observe` and
-//!   `observe_with(.., collector)` must accumulate identical results, and
-//!   the collector's totals must agree with the model's counters.
+//!   streams (valid or not as real programs), the reference
+//!   `TimingModel::observe` and `observe_with(.., collector)` must
+//!   accumulate identical results, and the collector's totals must agree
+//!   with the model's counters.
 
 #![allow(clippy::unwrap_used)]
 
-use fits_core::FitsFlow;
+use fits_core::{FitsFlow, FitsSet};
 use fits_isa::{InstrClass, Reg, TEXT_BASE};
 use fits_kernels::kernels::{Kernel, Scale};
-use fits_obs::trace::CacheEvents;
+use fits_obs::hist::{BranchHistogram, PcHistogram};
+use fits_obs::trace::{CacheEvents, SimTrace};
 use fits_obs::trace_timed_run;
 use fits_rng::StdRng;
 use fits_sim::{
-    Ar32Set, BranchOutcome, Machine, MemAccess, Sa1100Config, SimResult, StepInfo, TimingModel,
+    Ar32Set, BranchOutcome, InstrSet, Machine, MemAccess, RunOutput, Sa1100Config, SimResult,
 };
+use fits_sim_ref::{StepInfo, TimingModel};
 
 fn configs() -> [Sa1100Config; 2] {
     [Sa1100Config::icache_16k(), Sa1100Config::icache_8k()]
 }
 
-#[test]
-fn tracing_is_invisible_to_arm_runs() {
-    for kernel in [Kernel::Crc32, Kernel::Bitcount, Kernel::AdpcmEnc] {
-        let program = kernel.compile(Scale::test()).unwrap();
-        for cfg in configs() {
-            let (ref_out, ref_sim) = Machine::new(Ar32Set::load(&program))
-                .run_timed(&cfg)
-                .unwrap();
-            let (out, sim, trace) =
-                trace_timed_run(&mut Machine::new(Ar32Set::load(&program)), &cfg).unwrap();
-            assert_eq!(out, ref_out, "{kernel:?}: RunOutput must be bit-identical");
-            assert_eq!(sim, ref_sim, "{kernel:?}: SimResult must be bit-identical");
-            assert_eq!(trace.retired(), sim.retired);
+/// The per-step collector on the interpreted reference model: one retire
+/// and branch record per [`StepInfo`], cache events straight from
+/// `TimingModel::observe_with`.
+fn reference_trace<S: InstrSet>(set: &S, cfg: &Sa1100Config) -> (RunOutput, SimResult, SimTrace) {
+    let op_size = set.op_size();
+    let mut timing = TimingModel::new(cfg).unwrap();
+    let mut retires = PcHistogram::new(TEXT_BASE, op_size);
+    let mut branches = BranchHistogram::new(TEXT_BASE, op_size);
+    let mut cache = CacheEvents::new(cfg);
+    let output = fits_sim_ref::run_observed(set, |_, info| {
+        retires.record(info.pc);
+        if let Some(b) = &info.branch {
+            branches.record(info.pc, b.taken, b.taken != b.backward);
         }
+        timing.observe_with(info, &mut cache);
+    })
+    .unwrap();
+    let result = timing.finish_with(&mut cache);
+    (
+        output,
+        result,
+        SimTrace {
+            retires,
+            branches,
+            cache,
+        },
+    )
+}
+
+/// Asserts every bin of two traces equal.
+fn assert_traces_equal(label: &str, ours: &SimTrace, reference: &SimTrace) {
+    assert_eq!(
+        ours.retires.iter().collect::<Vec<_>>(),
+        reference.retires.iter().collect::<Vec<_>>(),
+        "{label}: per-PC retire counts diverged"
+    );
+    assert_eq!(ours.retires.stray(), reference.retires.stray(), "{label}");
+    assert_eq!(
+        ours.retires.stray(),
+        0,
+        "{label}: every PC maps into the text"
+    );
+    assert_eq!(
+        ours.branches.iter().collect::<Vec<_>>(),
+        reference.branches.iter().collect::<Vec<_>>(),
+        "{label}: per-site branch outcomes diverged"
+    );
+    assert_eq!(
+        ours.cache.fetches.iter().collect::<Vec<_>>(),
+        reference.cache.fetches.iter().collect::<Vec<_>>(),
+        "{label}: per-word fetch events diverged"
+    );
+    assert_eq!(
+        ours.cache.fetches.stray(),
+        reference.cache.fetches.stray(),
+        "{label}"
+    );
+    assert_eq!(
+        ours.cache.icache_sets.sets(),
+        reference.cache.icache_sets.sets(),
+        "{label}: per-set I-cache events diverged"
+    );
+    assert_eq!(
+        ours.cache.dcache, reference.cache.dcache,
+        "{label}: D-cache totals diverged"
+    );
+}
+
+/// Traces one instruction set under both paper I-cache sizes and checks
+/// the traced run against the reference collector, and the untraced
+/// replay against both.
+fn check_against_reference<S: InstrSet + Clone>(set: &S, label: &str) {
+    for cfg in configs() {
+        let label = format!("{label} @ {} B icache", cfg.icache.size_bytes);
+        let (ref_out, ref_sim, ref_trace) = reference_trace(set, &cfg);
+        let (out, sim, trace) = trace_timed_run(&mut Machine::new(set.clone()), &cfg).unwrap();
+        assert_eq!(out, ref_out, "{label}: RunOutput must be bit-identical");
+        assert_eq!(sim, ref_sim, "{label}: SimResult must be bit-identical");
+        assert_eq!(trace.retired(), sim.retired, "{label}");
+        assert_traces_equal(&label, &trace, &ref_trace);
+
+        let compiled = fits_sim::CompiledProgram::compile(set).unwrap();
+        let untraced = Machine::new(set.clone())
+            .run_recorded(&compiled)
+            .unwrap()
+            .price(&compiled, &cfg)
+            .unwrap();
+        assert_eq!(untraced, sim, "{label}: tracing must be invisible");
     }
 }
 
 #[test]
-fn tracing_is_invisible_to_fits_runs() {
-    for kernel in [Kernel::Crc32, Kernel::Sha] {
+fn traced_arm_runs_match_the_reference() {
+    for &kernel in Kernel::ALL {
+        let program = kernel.compile(Scale::test()).unwrap();
+        check_against_reference(&Ar32Set::load(&program), &format!("{kernel} (AR32)"));
+    }
+}
+
+#[test]
+fn traced_fits_runs_match_the_reference() {
+    for &kernel in Kernel::ALL {
         let program = kernel.compile(Scale::test()).unwrap();
         let flow = FitsFlow::new().run(&program).unwrap();
-        for cfg in configs() {
-            let load = || fits_core::FitsSet::load(&flow.fits).unwrap();
-            let (ref_out, ref_sim) = Machine::new(load()).run_timed(&cfg).unwrap();
-            let (out, sim, trace) = trace_timed_run(&mut Machine::new(load()), &cfg).unwrap();
-            assert_eq!(out, ref_out, "{kernel:?}: RunOutput must be bit-identical");
-            assert_eq!(sim, ref_sim, "{kernel:?}: SimResult must be bit-identical");
-            assert_eq!(
-                trace.cache.fetches.total(),
-                sim.icache.accesses,
-                "{kernel:?}: every I-cache access produced exactly one event"
-            );
-            // The FITS trace strides at 2 bytes; every retired PC must land
-            // in the histogram, none in the stray bucket.
-            assert_eq!(trace.retires.stray(), 0);
-        }
-    }
-}
-
-/// The compiled-replay path must be just as invisible as the interpreted
-/// one: replaying a recorded trace with a [`CacheEvents`] observer attached
-/// (`RecordedTrace::price_with`) must produce the same `SimResult` **and**
-/// the same event stream as [`trace_timed_run`]'s interpreted collection.
-#[test]
-fn compiled_replay_events_match_interpreted_trace() {
-    for kernel in [Kernel::Crc32, Kernel::Bitcount] {
-        let program = kernel.compile(Scale::test()).unwrap();
-        for cfg in configs() {
-            let (ref_out, ref_sim, ref_trace) =
-                trace_timed_run(&mut Machine::new(Ar32Set::load(&program)), &cfg).unwrap();
-
-            let set = Ar32Set::load(&program);
-            let compiled = fits_sim::CompiledProgram::compile(&set).unwrap();
-            let trace = Machine::new(Ar32Set::load(&program))
-                .run_recorded(&compiled)
-                .unwrap();
-            let mut events = CacheEvents::new(&cfg);
-            let sim = trace.price_with(&compiled, &cfg, &mut events).unwrap();
-
-            assert_eq!(trace.output, ref_out, "{kernel:?}: RunOutput diverged");
-            assert_eq!(sim, ref_sim, "{kernel:?}: SimResult diverged");
-            assert_eq!(
-                events.fetches.iter().collect::<Vec<_>>(),
-                ref_trace.cache.fetches.iter().collect::<Vec<_>>(),
-                "{kernel:?}: per-word fetch events diverged"
-            );
-            assert_eq!(events.fetches.stray(), ref_trace.cache.fetches.stray());
-            assert_eq!(
-                events.icache_sets.sets(),
-                ref_trace.cache.icache_sets.sets(),
-                "{kernel:?}: per-set I-cache events diverged"
-            );
-            assert_eq!(
-                events.dcache, ref_trace.cache.dcache,
-                "{kernel:?}: D-cache totals diverged"
-            );
-        }
+        check_against_reference(
+            &FitsSet::load(&flow.fits).unwrap(),
+            &format!("{kernel} (FITS)"),
+        );
     }
 }
 

@@ -361,7 +361,7 @@ impl Cache {
     /// The body is split so the dominant case — a shortcut-table hit —
     /// stays small enough to inline into the replay engine's per-lane
     /// loop; the associative search and the miss path live in
-    /// [`Cache::access_search`].
+    /// `Cache::access_search`.
     ///
     /// Soundness of the shortcut hit: the table holds only currently
     /// resident lines — entries are written on search hits and fills,

@@ -1,5 +1,5 @@
 use fits_isa::alu::Flags;
-use fits_isa::{InstrClass, Reg, STACK_TOP};
+use fits_isa::{Reg, STACK_TOP};
 
 use crate::{Memory, SimError};
 
@@ -77,41 +77,6 @@ pub struct BranchOutcome {
     pub taken: bool,
     /// Whether the (static) target lies at a lower address than the branch.
     pub backward: bool,
-}
-
-/// Everything the timing model needs to know about one retired instruction.
-#[derive(Clone, Copy, Debug)]
-pub struct StepInfo {
-    /// The instruction's address.
-    pub pc: u32,
-    /// Encoded size in bytes (4 for AR32, 2 for FITS).
-    pub size: u32,
-    /// The aligned 32-bit word the fetch unit read to obtain it.
-    pub fetch_word_addr: u32,
-    /// The contents of that word (for output-toggle accounting).
-    pub fetch_word_value: u32,
-    /// Broad category.
-    pub class: InstrClass,
-    /// Register-file read/write port usage.
-    pub reg_reads: u32,
-    /// Register-file write port usage.
-    pub reg_writes: u32,
-    /// Whether the condition passed.
-    pub executed: bool,
-    /// Data access, if any.
-    pub mem: Option<MemAccess>,
-    /// Branch resolution, if this was a branch.
-    pub branch: Option<BranchOutcome>,
-    /// Whether a multiply unit was used.
-    pub is_mul: bool,
-    /// Destination registers written (up to two), for hazard tracking.
-    pub dests: [Option<Reg>; 2],
-    /// Source registers read (up to three), for hazard tracking.
-    pub sources: [Option<Reg>; 3],
-    /// Whether the flags were written.
-    pub sets_flags: bool,
-    /// Whether the instruction reads the flags (predication or ADC-style).
-    pub reads_flags: bool,
 }
 
 /// Execution context handed to an [`crate::InstrSet`]'s `execute`: the

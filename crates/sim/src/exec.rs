@@ -6,12 +6,12 @@ use fits_isa::{AddrOffset, Index, Instr, InstrClass, MemOp, Program, Reg, Shift,
 use crate::cpu::BranchOutcome;
 use crate::{ExecCtx, MemAccess, SimError, StepOutcome};
 
-/// Static, per-instruction metadata the machine loop and timing model need.
+/// Static, per-instruction metadata the timing model needs.
 ///
-/// Everything here is a pure function of the decoded instruction, so
-/// instruction sets compute it **once at load time** (one table entry per
-/// static op) rather than on every retired instruction — see
-/// [`InstrSet::op_with_meta`].
+/// Everything here is a pure function of the decoded instruction, so the
+/// basic-block lifter ([`crate::CompiledProgram::compile`]) asks for it
+/// **once per static op** ([`InstrSet::describe`]) and bakes it into the
+/// op's step template, rather than re-deriving it per retired instruction.
 #[derive(Clone, Copy, Debug)]
 pub struct OpMeta {
     /// Broad category.
@@ -130,17 +130,6 @@ pub trait InstrSet {
     /// targets. Must agree with what `execute` can actually do to the PC.
     fn control_flow(&self, pc: u32, op: &Self::Op) -> OpControl;
 
-    /// The decoded instruction at `pc` together with its **precomputed**
-    /// static metadata. This is the machine loop's per-step entry point:
-    /// implementations must serve the metadata from a table built at load
-    /// time, never by re-deriving it per retired instruction.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::BadPc`] when `pc` is outside the text segment or
-    /// misaligned.
-    fn op_with_meta(&self, pc: u32) -> Result<(&Self::Op, &OpMeta), SimError>;
-
     /// Executes one instruction.
     ///
     /// # Errors
@@ -154,15 +143,12 @@ pub trait InstrSet {
 pub struct Ar32Set {
     text: Vec<Instr>,
     words: Vec<u32>,
-    /// Per-op static metadata, parallel to `text` (built once at load).
-    metas: Vec<OpMeta>,
     data: Vec<u8>,
     entry: usize,
 }
 
 impl Ar32Set {
-    /// Loads a program, pre-encoding every instruction for fetch accounting
-    /// and pre-computing its static metadata for the step loop.
+    /// Loads a program, pre-encoding every instruction for fetch accounting.
     #[must_use]
     pub fn load(program: &Program) -> Ar32Set {
         Ar32Set::load_with(program, fits_isa::spec::Ar32Tables::builtin())
@@ -176,7 +162,6 @@ impl Ar32Set {
     pub fn load_with(program: &Program, tables: &fits_isa::spec::Ar32Tables) -> Ar32Set {
         Ar32Set {
             words: program.text.iter().map(|i| tables.encode(i)).collect(),
-            metas: program.text.iter().map(instr_meta).collect(),
             text: program.text.clone(),
             data: program.data.clone(),
             entry: program.entry,
@@ -458,11 +443,6 @@ impl InstrSet for Ar32Set {
 
     fn control_flow(&self, pc: u32, op: &Instr) -> OpControl {
         instr_control_flow(op, pc, 4)
-    }
-
-    fn op_with_meta(&self, pc: u32) -> Result<(&Instr, &OpMeta), SimError> {
-        let index = self.index_of(pc)?;
-        Ok((&self.text[index], &self.metas[index]))
     }
 
     fn execute(&self, op: &Instr, ctx: &mut ExecCtx<'_>) -> Result<StepOutcome, SimError> {

@@ -7,6 +7,12 @@
 //! dual-issue in-order timing model configured after Intel's SA-1100
 //! StrongARM (the paper's §5 experimental setup).
 //!
+//! Timing has one engine: lift the program once ([`CompiledProgram`]),
+//! record one functional execution ([`Machine::run_recorded`]), then price
+//! any number of configurations from the trace
+//! ([`RecordedTrace::price_all`], or [`RecordedTrace::price_with`] to
+//! observe every cache event).
+//!
 //! The crate is deliberately ISA-agnostic: anything implementing
 //! [`InstrSet`] can be simulated. [`Ar32Set`] runs native AR32 programs;
 //! `fits-core` provides the executor for synthesized 16-bit FITS binaries
@@ -53,10 +59,10 @@ mod replay;
 mod timing;
 
 pub use cache::{
-    validate_geometry, Cache, CacheConfig, CacheStats, GeometryError, Replacement, WindowPeak,
-    PEAK_WINDOW_CYCLES,
+    validate_config, validate_geometry, Cache, CacheConfig, CacheStats, GeometryError, Replacement,
+    WindowPeak, PEAK_WINDOW_CYCLES,
 };
-pub use cpu::{BranchOutcome, CpuState, ExecCtx, MemAccess, StepInfo, StepOutcome};
+pub use cpu::{BranchOutcome, CpuState, ExecCtx, MemAccess, StepOutcome};
 pub use error::SimError;
 pub use exec::{
     execute_instr, instr_control_flow, instr_meta, Ar32Set, InstrSet, OpControl, OpMeta,
@@ -64,4 +70,4 @@ pub use exec::{
 pub use machine::{fold_emitted, Machine, RunOutput, MAX_STEPS_DEFAULT};
 pub use memory::Memory;
 pub use replay::{BasicBlock, CompiledProgram, RecordedTrace, StepTemplate, TraceEntry};
-pub use timing::{BranchStats, CacheEventObserver, Sa1100Config, SimResult, TimingModel};
+pub use timing::{BranchStats, CacheEventObserver, Sa1100Config, SimResult};

@@ -1,11 +1,8 @@
-//! The machine loop: drives an [`InstrSet`] over memory, optionally feeding
-//! a timing model or a step observer.
+//! The machine loop: drives an [`InstrSet`] over memory, either purely
+//! functionally or recording a trace for the timing replay.
 
-use crate::cache::validate_config;
 use crate::replay::{CompiledProgram, RecordedTrace, TraceEntry};
-use crate::{
-    CpuState, ExecCtx, InstrSet, Memory, Sa1100Config, SimError, SimResult, StepInfo, TimingModel,
-};
+use crate::{CpuState, ExecCtx, InstrSet, Memory, SimError};
 
 /// Default step budget: generous enough for the full-scale benchmark suite,
 /// small enough to catch runaway programs.
@@ -105,10 +102,10 @@ impl<S: InstrSet> Machine<S> {
 
     /// Runs to the exit trap, functional only (no timing).
     ///
-    /// This is the true fast path: no [`StepInfo`] is constructed and no
-    /// per-op metadata is consulted — the loop is fetch → execute → retire.
+    /// This is the true fast path: no per-op metadata is consulted and
+    /// nothing is recorded — the loop is fetch → execute → retire.
     /// Functional results ([`RunOutput`]) are exactly those of
-    /// [`Machine::run_observed`] with a no-op observer.
+    /// [`Machine::run_recorded`].
     ///
     /// # Errors
     ///
@@ -144,82 +141,6 @@ impl<S: InstrSet> Machine<S> {
         }
     }
 
-    /// Runs to the exit trap, invoking `observer` with every retired
-    /// instruction and its [`StepInfo`] — the hook the FITS profiler uses to
-    /// gather dynamic statistics. The static part of each [`StepInfo`] comes
-    /// from the instruction set's load-time metadata table
-    /// ([`crate::InstrSet::op_with_meta`]); only the dynamic outcome fields
-    /// are filled per step.
-    ///
-    /// # Errors
-    ///
-    /// Any [`SimError`] raised by execution, including step-budget overrun.
-    pub fn run_observed(
-        &mut self,
-        mut observer: impl FnMut(&S::Op, &StepInfo),
-    ) -> Result<RunOutput, SimError> {
-        let op_size = self.set.op_size();
-        let mut steps: u64 = 0;
-        let mut emitted = FNV_OFFSET;
-        loop {
-            if steps >= self.step_limit {
-                return Err(SimError::MaxSteps {
-                    limit: self.step_limit,
-                });
-            }
-            let (op, meta) = self.set.op_with_meta(self.pc)?;
-            let mut ctx = ExecCtx {
-                cpu: &mut self.cpu,
-                mem: &mut self.mem,
-                pc: self.pc,
-            };
-            let out = self.set.execute(op, &mut ctx)?;
-            let fetch_word_addr = self.pc & !3;
-            let info = StepInfo {
-                pc: self.pc,
-                size: op_size,
-                fetch_word_addr,
-                fetch_word_value: self.set.fetch_word(fetch_word_addr),
-                class: meta.class,
-                reg_reads: meta.reg_reads,
-                reg_writes: meta.reg_writes,
-                executed: out.executed,
-                mem: out.mem,
-                branch: out.branch,
-                is_mul: out.is_mul && out.executed,
-                dests: meta.dests,
-                sources: meta.sources,
-                sets_flags: meta.sets_flags && out.executed,
-                reads_flags: meta.reads_flags,
-            };
-            observer(op, &info);
-            steps += 1;
-            if let Some(word) = out.emit {
-                emitted = fnv1a(emitted, u64::from(word));
-            }
-            if let Some(code) = out.exit {
-                return Ok(RunOutput {
-                    exit_code: code,
-                    emitted,
-                    steps,
-                });
-            }
-            self.pc = out.next_pc;
-        }
-    }
-
-    /// Runs to the exit trap under the SA-1100 timing model, returning both
-    /// the functional output and the microarchitectural statistics.
-    ///
-    /// # Errors
-    ///
-    /// Any [`SimError`] raised by execution, including step-budget overrun.
-    pub fn run_timed(&mut self, cfg: &Sa1100Config) -> Result<(RunOutput, SimResult), SimError> {
-        let mut timing = TimingModel::new(cfg)?;
-        let output = self.run_observed(|_, info| timing.observe(info))?;
-        Ok((output, timing.finish()))
-    }
-
     /// Lifts this machine's program into basic-block descriptors and step
     /// templates (see [`CompiledProgram::compile`]).
     ///
@@ -231,10 +152,9 @@ impl<S: InstrSet> Machine<S> {
     }
 
     /// Runs to the exit trap **recording** a compact block-ID +
-    /// dynamic-outcome trace against a lifted program, without building
-    /// `StepInfo`s or driving any timing model. The returned trace replays
-    /// over any number of configurations via
-    /// [`RecordedTrace::price_all`]; its
+    /// dynamic-outcome trace against a lifted program, without driving any
+    /// timing model. The returned trace replays over any number of
+    /// configurations via [`RecordedTrace::price_all`]; its
     /// [`RunOutput`](RecordedTrace::output) is exactly that of
     /// [`Machine::run`].
     ///
@@ -322,40 +242,10 @@ impl<S: InstrSet> Machine<S> {
             index = next;
             if index as usize >= compiled.op_count() {
                 // Fell off the end of the text segment: report it exactly
-                // as the interpreted loop would on its next fetch.
+                // as `Machine::run` would on its next fetch.
                 return Err(SimError::BadPc { pc: self.pc });
             }
         }
-    }
-
-    /// Executes the program **once** and prices every configuration from
-    /// the recorded trace — the execute-once/replay-many engine, now
-    /// running on the basic-block compiled replay path: the program is
-    /// lifted ([`Machine::compile`]), one functional execution records a
-    /// compact trace ([`Machine::run_recorded`]), and a single
-    /// structure-of-arrays replay pass prices all configurations
-    /// ([`RecordedTrace::price_all`]). The `SimResult` for each
-    /// configuration is bit-identical to a separate [`Machine::run_timed`]
-    /// call with that configuration.
-    ///
-    /// # Errors
-    ///
-    /// Any [`SimError`] raised by execution or by cache-geometry validation
-    /// of any configuration.
-    pub fn run_timed_multi(
-        &mut self,
-        cfgs: &[Sa1100Config],
-    ) -> Result<(RunOutput, Vec<SimResult>), SimError> {
-        // Validate every geometry up front so a bad configuration fails
-        // before the functional execution, as the per-model path did.
-        for cfg in cfgs {
-            validate_config(&cfg.icache)?;
-            validate_config(&cfg.dcache)?;
-        }
-        let compiled = self.compile()?;
-        let trace = self.run_recorded(&compiled)?;
-        let sims = trace.price_all(&compiled, cfgs)?;
-        Ok((trace.output, sims))
     }
 }
 
@@ -452,16 +342,5 @@ mod tests {
         let mut m = Machine::new(Ar32Set::load(&program));
         m.run().unwrap();
         assert_eq!(m.memory().load_w(DATA_BASE).unwrap(), 42);
-    }
-
-    #[test]
-    fn observer_sees_every_step() {
-        let mut m = Machine::new(Ar32Set::load(&countdown_program()));
-        let mut count = 0u64;
-        let out = m.run_observed(|_, info| {
-            count += 1;
-            assert_eq!(info.size, 4);
-        });
-        assert_eq!(out.unwrap().steps, count);
     }
 }

@@ -40,7 +40,7 @@
 //! * **`CA` — cache analysis** ([`ca`]): abstract-interpretation
 //!   classification of every instruction fetch (always-hit / always-miss /
 //!   persistent / unknown) against a cache geometry, built on a reusable
-//!   worklist [`fixpoint`] solver and conservative [`cfg`] builders shared
+//!   worklist [`fixpoint`] solver and conservative [`cfg`](mod@cfg) builders shared
 //!   with the `DF` liveness analysis. Its `CA001`–`CA003` diagnostics
 //!   audit an analysis result against rebuilt ground truth.
 //!
@@ -323,8 +323,8 @@ impl Ctx<'_> {
 /// Runs every analysis family over the triple and returns the findings.
 ///
 /// The triple is the natural output of the flow's stages 1–3:
-/// [`fits_core::profile`] → [`fits_core::synthesize`] →
-/// [`fits_core::translate`].
+/// [`fits_core::profile()`] → [`fits_core::synthesize`] →
+/// [`fits_core::translate()`].
 #[must_use]
 pub fn analyze(program: &Program, synthesis: &Synthesis, translation: &Translation) -> Report {
     let mut diags = Vec::new();

@@ -11,7 +11,7 @@
 use powerfits::core::{FitsFlow, FitsSet};
 use powerfits::kernels::kernels::{Kernel, Scale};
 use powerfits::power::{cache_power, TechParams};
-use powerfits::sim::{Ar32Set, Machine, Sa1100Config};
+use powerfits::sim::{Ar32Set, CompiledProgram, Machine, Sa1100Config};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scale = Scale { n: 256 };
@@ -22,24 +22,33 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:<16} {:>7}  {:>12} {:>10} {:>12} {:>10}",
         "kernel", "i$ size", "ARM miss/M", "ARM mW", "FITS miss/M", "FITS mW"
     );
+    let configs = sizes
+        .map(|size| Sa1100Config::icache_16k().with_icache_bytes(size))
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
     for kernel in [Kernel::Sha, Kernel::SusanCorners, Kernel::Crc32] {
         let program = kernel.compile(scale)?;
         let flow = FitsFlow::new().run(&program)?;
-        for size in sizes {
-            let sa = Sa1100Config::icache_16k().with_icache_bytes(size)?;
+        // Execute each binary once, then price every I-cache size from the
+        // recorded trace.
+        let arm_set = Ar32Set::load(&program);
+        let arm_compiled = CompiledProgram::compile(&arm_set)?;
+        let arm_sims = Machine::new(arm_set)
+            .run_recorded(&arm_compiled)?
+            .price_all(&arm_compiled, &configs)?;
+        let fits_set = FitsSet::load(&flow.fits)?;
+        let fits_compiled = CompiledProgram::compile(&fits_set)?;
+        let fits_sims = Machine::new(fits_set)
+            .run_recorded(&fits_compiled)?
+            .price_all(&fits_compiled, &configs)?;
 
-            let mut arm = Machine::new(Ar32Set::load(&program));
-            let (_, arm_sim) = arm.run_timed(&sa)?;
+        for ((sa, arm_sim), fits_sim) in configs.iter().zip(&arm_sims).zip(&fits_sims) {
             let arm_power = cache_power(&sa.icache, &arm_sim.icache, arm_sim.cycles, &tech);
-
-            let mut fits = Machine::new(FitsSet::load(&flow.fits)?);
-            let (_, fits_sim) = fits.run_timed(&sa)?;
             let fits_power = cache_power(&sa.icache, &fits_sim.icache, fits_sim.cycles, &tech);
-
             println!(
                 "{:<16} {:>5}KB  {:>12.0} {:>10.2} {:>12.0} {:>10.2}",
                 kernel.name(),
-                size / 1024,
+                sa.icache.size_bytes / 1024,
                 arm_sim.icache.misses_per_million(),
                 1e3 * arm_power.average_w(),
                 fits_sim.icache.misses_per_million(),

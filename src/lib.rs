@@ -23,7 +23,7 @@
 //!   histograms and per-basic-block power attribution (`fitstrace`).
 //! * [`scenario`] — the data-driven scenario plane: named machine presets,
 //!   tech nodes and validated sweep matrices.
-//! * [`bench`] — experiment runners that regenerate every figure of the
+//! * [`bench`](mod@bench) — experiment runners that regenerate every figure of the
 //!   paper.
 //!
 //! ## Quick start

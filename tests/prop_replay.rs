@@ -1,9 +1,10 @@
 //! Property test for the block-compiled replay engine: random programs —
 //! drawn from the *same* seeded generator distribution as the synthesis
 //! properties (`tests/common`) — must behave bit-identically under the
-//! interpreted path (`run_observed` / `run_timed`) and the compiled path
-//! (`CompiledProgram` → `run_recorded` → `price`), across all three
-//! scenario presets, for both instruction sets.
+//! interpreted reference model (`fits_sim_ref::run_observed` /
+//! `fits_sim_ref::run_timed`) and the compiled path (`CompiledProgram` →
+//! `run_recorded` → `price`), across all three scenario presets, for both
+//! instruction sets.
 
 #![allow(clippy::unwrap_used)]
 
@@ -32,14 +33,12 @@ fn assert_paths_agree<S: InstrSet + Clone>(set: &S, label: &str) {
         .run_recorded(&compiled)
         .unwrap_or_else(|e| panic!("{label}: record: {e}"));
 
-    let observed = Machine::new(set.clone())
-        .run_observed(|_, _| {})
+    let observed = fits_sim_ref::run_observed(set, |_, _| {})
         .unwrap_or_else(|e| panic!("{label}: interpret: {e}"));
     assert_eq!(trace.output, observed, "{label}: RunOutput diverged");
 
     for cfg in preset_configs() {
-        let (out, reference) = Machine::new(set.clone())
-            .run_timed(&cfg)
+        let (out, reference) = fits_sim_ref::run_timed(set, &cfg)
             .unwrap_or_else(|e: SimError| panic!("{label}: run_timed: {e}"));
         let sim = trace
             .price(&compiled, &cfg)

@@ -1,8 +1,9 @@
-//! Differential guarantees of the execute-once/replay-many engine: feeding N
-//! timing models from a single functional execution must be observationally
+//! Differential guarantees of the execute-once/replay-many engine: pricing
+//! N configurations from a single recorded execution must be observationally
 //! identical — bit-for-bit on every counter — to running each configuration
-//! in its own machine, and the no-observer fast path must agree exactly with
-//! the observed path.
+//! through the interpreted reference model in its own run, whichever drain
+//! (fused for one configuration, batch for several) prices it, and the
+//! no-observer fast path must agree exactly with the reference loop.
 
 #![allow(clippy::unwrap_used)]
 
@@ -28,66 +29,23 @@ fn sweep_configs() -> Vec<Sa1100Config> {
         .collect()
 }
 
-/// `run_timed_multi` over N configs must be bit-identical to N independent
-/// `run_timed` machines, for both instruction sets of every kernel.
-#[test]
-fn replay_many_is_bit_identical_to_per_config_runs() {
-    let scale = Scale::test();
-    let cfgs = sweep_configs();
-    for &kernel in Kernel::ALL.iter() {
-        let program = kernel.compile(scale).expect("kernel compiles");
-
-        let (multi_out, multi_sims) = Machine::new(Ar32Set::load(&program))
-            .run_timed_multi(&cfgs)
-            .expect("multi run");
-        for (cfg, multi_sim) in cfgs.iter().zip(&multi_sims) {
-            let (out, sim) = Machine::new(Ar32Set::load(&program))
-                .run_timed(cfg)
-                .expect("single run");
-            assert_eq!(out, multi_out, "{kernel}: AR32 RunOutput diverged");
-            assert_eq!(
-                sim, *multi_sim,
-                "{kernel}: AR32 SimResult diverged at {} B icache",
-                cfg.icache.size_bytes
-            );
-        }
-
-        let flow = FitsFlow::new().run(&program).expect("flow accepts");
-        let (multi_out, multi_sims) = Machine::new(FitsSet::load(&flow.fits).unwrap())
-            .run_timed_multi(&cfgs)
-            .expect("multi run");
-        for (cfg, multi_sim) in cfgs.iter().zip(&multi_sims) {
-            let (out, sim) = Machine::new(FitsSet::load(&flow.fits).unwrap())
-                .run_timed(cfg)
-                .expect("single run");
-            assert_eq!(out, multi_out, "{kernel}: FITS RunOutput diverged");
-            assert_eq!(
-                sim, *multi_sim,
-                "{kernel}: FITS SimResult diverged at {} B icache",
-                cfg.icache.size_bytes
-            );
-        }
-    }
-}
-
 /// The dedicated no-observer fast path in `Machine::run` must produce the
-/// same `RunOutput` as `run_observed` with a no-op observer.
+/// same `RunOutput` as the interpreted reference loop.
 #[test]
 fn fast_path_agrees_with_observed_path() {
     let scale = Scale::test();
     for &kernel in Kernel::ALL.iter() {
         let program = kernel.compile(scale).expect("kernel compiles");
         let fast = Machine::new(Ar32Set::load(&program)).run().expect("fast");
-        let observed = Machine::new(Ar32Set::load(&program))
-            .run_observed(|_, _| {})
-            .expect("observed");
+        let observed =
+            fits_sim_ref::run_observed(&Ar32Set::load(&program), |_, _| {}).expect("observed");
         assert_eq!(fast, observed, "{kernel}: fast path diverged");
     }
 }
 
 /// An [`InstrSet`] wrapper counting `execute` calls, proving the replay
 /// engine performs exactly one functional execution regardless of how many
-/// timing models it feeds.
+/// configurations it prices.
 struct CountingSet<S> {
     inner: S,
     executes: Rc<Cell<u64>>,
@@ -120,9 +78,6 @@ impl<S: InstrSet> InstrSet for CountingSet<S> {
     fn describe(&self, op: &Self::Op) -> OpMeta {
         self.inner.describe(op)
     }
-    fn op_with_meta(&self, pc: u32) -> Result<(&Self::Op, &OpMeta), SimError> {
-        self.inner.op_with_meta(pc)
-    }
     fn execute(&self, op: &Self::Op, ctx: &mut ExecCtx<'_>) -> Result<StepOutcome, SimError> {
         self.executes.set(self.executes.get() + 1);
         self.inner.execute(op, ctx)
@@ -137,47 +92,73 @@ fn replay_many_executes_each_instruction_once() {
         inner: Ar32Set::load(&program),
         executes: Rc::clone(&executes),
     };
-    let (out, sims) = Machine::new(set)
-        .run_timed_multi(&sweep_configs())
-        .expect("multi run");
+    let compiled = CompiledProgram::compile(&set).expect("compiles to blocks");
+    let trace = Machine::new(set)
+        .run_recorded(&compiled)
+        .expect("recorded run");
+    let sims = trace
+        .price_all(&compiled, &sweep_configs())
+        .expect("price all");
     assert_eq!(sims.len(), 4);
     assert_eq!(
         executes.get(),
-        out.steps,
-        "four timing models must share one execution, not re-execute"
+        trace.output.steps,
+        "four configurations must share one execution, not re-execute"
     );
 }
 
 /// The explicit compiled API — `CompiledProgram::compile`, then
 /// `Machine::run_recorded`, then `RecordedTrace::price_all` — must agree
-/// bit-for-bit with per-config interpreted `run_timed`, and a recorded trace
-/// must be re-priceable any number of times with identical results.
+/// bit-for-bit with per-config runs of the interpreted reference model,
+/// for both instruction sets of every kernel; a recorded trace must be
+/// re-priceable any number of times with identical results; and a
+/// single-configuration `price_all` (the fused drain) must equal `price`
+/// and the reference, so both drains stay covered.
 #[test]
 fn compiled_api_is_bit_identical_and_repriceable() {
     let scale = Scale::test();
     let cfgs = sweep_configs();
-    for &kernel in [Kernel::Crc32, Kernel::JpegDct, Kernel::Dijkstra].iter() {
+    for &kernel in Kernel::ALL.iter() {
         let program = kernel.compile(scale).expect("kernel compiles");
-        let set = Ar32Set::load(&program);
-        let compiled = CompiledProgram::compile(&set).expect("compiles to blocks");
-        let trace = Machine::new(Ar32Set::load(&program))
-            .run_recorded(&compiled)
-            .expect("recorded run");
+        let flow = FitsFlow::new().run(&program).expect("flow accepts");
+        check_compiled_api(&Ar32Set::load(&program), &cfgs, &format!("{kernel} (AR32)"));
+        check_compiled_api(
+            &FitsSet::load(&flow.fits).unwrap(),
+            &cfgs,
+            &format!("{kernel} (FITS)"),
+        );
+    }
+}
 
-        let first = trace.price_all(&compiled, &cfgs).expect("price all");
-        let again = trace.price_all(&compiled, &cfgs).expect("re-price");
-        assert_eq!(first, again, "{kernel}: re-pricing the same trace diverged");
+fn check_compiled_api<S: InstrSet + Clone>(set: &S, cfgs: &[Sa1100Config], label: &str) {
+    let compiled = CompiledProgram::compile(set).expect("compiles to blocks");
+    let trace = Machine::new(set.clone())
+        .run_recorded(&compiled)
+        .expect("recorded run");
 
-        for (cfg, sim) in cfgs.iter().zip(&first) {
-            let (out, reference) = Machine::new(Ar32Set::load(&program))
-                .run_timed(cfg)
-                .expect("single run");
-            assert_eq!(out, trace.output, "{kernel}: RunOutput diverged");
-            assert_eq!(
-                *sim, reference,
-                "{kernel}: compiled replay diverged at {} B icache",
-                cfg.icache.size_bytes
-            );
-        }
+    let first = trace.price_all(&compiled, cfgs).expect("price all");
+    let again = trace.price_all(&compiled, cfgs).expect("re-price");
+    assert_eq!(first, again, "{label}: re-pricing the same trace diverged");
+
+    for (cfg, sim) in cfgs.iter().zip(&first) {
+        let bytes = cfg.icache.size_bytes;
+        let (out, reference) = fits_sim_ref::run_timed(set, cfg).expect("reference run");
+        assert_eq!(out, trace.output, "{label}: RunOutput diverged");
+        assert_eq!(
+            *sim, reference,
+            "{label}: batch drain diverged at {bytes} B icache"
+        );
+        let single = trace.price(&compiled, cfg).expect("price");
+        assert_eq!(
+            single, reference,
+            "{label}: fused drain diverged at {bytes} B icache"
+        );
+        assert_eq!(
+            trace
+                .price_all(&compiled, std::slice::from_ref(cfg))
+                .expect("price one"),
+            vec![single],
+            "{label}: one-config price_all diverged from price at {bytes} B icache"
+        );
     }
 }
