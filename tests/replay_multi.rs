@@ -29,6 +29,46 @@ fn sweep_configs() -> Vec<Sa1100Config> {
         .collect()
 }
 
+/// One recorded execution priced over N configs must be bit-identical to N
+/// independent runs, each recording its own execution and pricing a single
+/// config, for both instruction sets of every kernel.
+#[test]
+fn replay_many_is_bit_identical_to_per_config_runs() {
+    let scale = Scale::test();
+    let cfgs = sweep_configs();
+    for &kernel in Kernel::ALL.iter() {
+        let program = kernel.compile(scale).expect("kernel compiles");
+        let flow = FitsFlow::new().run(&program).expect("flow accepts");
+        check_replay_many(&Ar32Set::load(&program), &cfgs, &format!("{kernel} (AR32)"));
+        check_replay_many(
+            &FitsSet::load(&flow.fits).unwrap(),
+            &cfgs,
+            &format!("{kernel} (FITS)"),
+        );
+    }
+}
+
+fn check_replay_many<S: InstrSet + Clone>(set: &S, cfgs: &[Sa1100Config], label: &str) {
+    let compiled = CompiledProgram::compile(set).expect("compiles to blocks");
+    let multi = Machine::new(set.clone())
+        .run_recorded(&compiled)
+        .expect("multi run");
+    let multi_sims = multi.price_all(&compiled, cfgs).expect("price all");
+    assert_eq!(multi_sims.len(), cfgs.len(), "{label}: one result per config");
+    for (cfg, multi_sim) in cfgs.iter().zip(&multi_sims) {
+        let single = Machine::new(set.clone())
+            .run_recorded(&compiled)
+            .expect("single run");
+        assert_eq!(single.output, multi.output, "{label}: RunOutput diverged");
+        assert_eq!(
+            single.price(&compiled, cfg).expect("price"),
+            *multi_sim,
+            "{label}: SimResult diverged at {} B icache",
+            cfg.icache.size_bytes
+        );
+    }
+}
+
 /// The dedicated no-observer fast path in `Machine::run` must produce the
 /// same `RunOutput` as the interpreted reference loop.
 #[test]
