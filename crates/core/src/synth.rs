@@ -25,7 +25,7 @@ use std::collections::{BTreeMap, HashMap};
 use fits_isa::{Cond, DpOp, MemOp, ShiftKind};
 
 use crate::decoder::{DecoderConfig, Dictionaries, Layout, MicroOp, OpcodeEntry, RegMap, Tier};
-use crate::profile::{signed_bits, unsigned_bits, OpKey, Profile};
+use crate::profile::{signed_bits, unsigned_bits, OpKey, Profile, Stat, ValueHist};
 
 /// Synthesis options (the ablation knobs).
 #[derive(Clone, Debug)]
@@ -126,7 +126,7 @@ struct FamilyData {
     dict_cov: [f64; 17],
 }
 
-fn rank_map(values: &[(u32, crate::profile::Stat)]) -> HashMap<u32, usize> {
+fn rank_map(values: &[(u32, Stat)]) -> HashMap<u32, usize> {
     values
         .iter()
         .enumerate()
@@ -134,32 +134,62 @@ fn rank_map(values: &[(u32, crate::profile::Stat)]) -> HashMap<u32, usize> {
         .collect()
 }
 
-fn build_family_data(profile: &Profile, opts: &SynthOptions) -> BTreeMap<OpKey, FamilyData> {
-    // Global category dictionaries, by dynamic weight.
-    let mut operate_all = crate::profile::ValueHist::default();
-    for hist in profile.operate_imms.values() {
-        for (v, s) in hist.by_dynamic_weight() {
-            for _ in 0..s.stat {
-                // merge preserving both weights
+/// Global per-category value histograms, by descending dynamic weight.
+/// Built once per synthesis: the cost model ranks values by them and the
+/// dictionary stage takes their heads.
+struct CategoryHists {
+    operate: Vec<(u32, Stat)>,
+    mem: Vec<(u32, Stat)>,
+    shift: Vec<(u32, Stat)>,
+}
+
+impl CategoryHists {
+    fn new(profile: &Profile) -> Self {
+        fn merged<'a>(hists: impl Iterator<Item = &'a ValueHist>) -> Vec<(u32, Stat)> {
+            let mut all = ValueHist::default();
+            for hist in hists {
+                for (v, s) in hist.by_dynamic_weight() {
+                    all.record_weighted(v, s);
+                }
             }
-            operate_all.record_weighted(v, s);
+            all.by_dynamic_weight()
+        }
+        CategoryHists {
+            operate: merged(profile.operate_imms.values()),
+            mem: merged(profile.mem_disps.values()),
+            shift: merged(profile.shift_amounts.values()),
         }
     }
-    let operate_rank = rank_map(&operate_all.by_dynamic_weight());
-    let mut mem_all = crate::profile::ValueHist::default();
-    for hist in profile.mem_disps.values() {
-        for (v, s) in hist.by_dynamic_weight() {
-            mem_all.record_weighted(v, s);
-        }
+}
+
+/// Literal and operate-dictionary coverage of an immediate operand
+/// histogram (data-processing and compare immediates share the operate
+/// dictionary).
+fn operate_coverage(
+    fd: &mut FamilyData,
+    hist: &ValueHist,
+    operate_rank: &HashMap<u32, usize>,
+    max_dict_bits: u8,
+) {
+    let total = hist.total_dyn().max(1) as f64;
+    for w in 0..=16u8 {
+        fd.lit_cov[w as usize] = hist.dyn_where(|v| w > 0 && unsigned_bits(v) <= w) as f64 / total;
+        let cap = 1usize << w.min(max_dict_bits);
+        let cap = cap.saturating_sub(if w >= 4 { RESERVED_DICT_SLOTS } else { 0 });
+        fd.dict_cov[w as usize] =
+            hist.dyn_where(|v| operate_rank.get(&v).is_some_and(|r| *r < cap)) as f64 / total;
     }
-    let mem_rank = rank_map(&mem_all.by_dynamic_weight());
-    let mut shift_all = crate::profile::ValueHist::default();
-    for hist in profile.shift_amounts.values() {
-        for (v, s) in hist.by_dynamic_weight() {
-            shift_all.record_weighted(v, s);
-        }
-    }
-    let shift_rank = rank_map(&shift_all.by_dynamic_weight());
+}
+
+fn build_family_data(
+    profile: &Profile,
+    opts: &SynthOptions,
+    cats: &CategoryHists,
+) -> BTreeMap<OpKey, FamilyData> {
+    // Each value's rank in its category's global dictionary order.
+    let operate_rank = rank_map(&cats.operate);
+    let mem_rank = rank_map(&cats.mem);
+    let shift_rank = rank_map(&cats.shift);
 
     let mut out = BTreeMap::new();
     for (key, stat) in &profile.families {
@@ -183,32 +213,12 @@ fn build_family_data(profile: &Profile, opts: &SynthOptions) -> BTreeMap<OpKey, 
                     profile.two_address_rate(*key)
                 };
                 if let Some(hist) = profile.operate_imms.get(key) {
-                    let total = hist.total_dyn().max(1) as f64;
-                    for w in 0..=16u8 {
-                        fd.lit_cov[w as usize] =
-                            hist.dyn_where(|v| w > 0 && unsigned_bits(v) <= w) as f64 / total;
-                        let cap = 1usize << w.min(opts.max_dict_bits);
-                        let cap = cap.saturating_sub(if w >= 4 { RESERVED_DICT_SLOTS } else { 0 });
-                        fd.dict_cov[w as usize] = hist
-                            .dyn_where(|v| operate_rank.get(&v).is_some_and(|r| *r < cap))
-                            as f64
-                            / total;
-                    }
+                    operate_coverage(&mut fd, hist, &operate_rank, opts.max_dict_bits);
                 }
             }
             OpKey::CmpImm(_) => {
                 if let Some(hist) = profile.operate_imms.get(key) {
-                    let total = hist.total_dyn().max(1) as f64;
-                    for w in 0..=16u8 {
-                        fd.lit_cov[w as usize] =
-                            hist.dyn_where(|v| w > 0 && unsigned_bits(v) <= w) as f64 / total;
-                        let cap = 1usize << w.min(opts.max_dict_bits);
-                        let cap = cap.saturating_sub(if w >= 4 { RESERVED_DICT_SLOTS } else { 0 });
-                        fd.dict_cov[w as usize] = hist
-                            .dyn_where(|v| operate_rank.get(&v).is_some_and(|r| *r < cap))
-                            as f64
-                            / total;
-                    }
+                    operate_coverage(&mut fd, hist, &operate_rank, opts.max_dict_bits);
                 }
             }
             OpKey::Mem(op) => {
@@ -294,67 +304,99 @@ pub(crate) fn mem_lit_fits(disp: i32, w: u8, scale: u32) -> bool {
 /// with the SIS `movi`/`lsli`/`ori` chain (empirical midpoint).
 const CONST_BUILD_COST: f64 = 4.0;
 
-fn selection_widths(
-    sel: &BTreeMap<SelKey, Selected>,
-    micro_pred: impl Fn(&MicroOp) -> bool,
-) -> (Option<u8>, Option<u8>, bool, bool) {
-    // (literal width, dict width, has 3-op, has 2-op-reg) for entries whose
-    // micro satisfies the predicate.
-    let mut lit = None;
-    let mut dict = None;
-    let mut has3 = false;
-    let mut has2 = false;
-    for s in sel.values() {
-        if !micro_pred(&s.micro) {
-            continue;
-        }
-        match s.layout {
-            Layout::R2Imm { w } | Layout::RRImm { w } | Layout::MemImm { w } | Layout::Br { w } => {
-                lit = Some(lit.map_or(w, |c: u8| c.max(w)));
-            }
-            Layout::R2Dict { w } | Layout::RRDict { w } | Layout::MemDict { w } => {
-                dict = Some(dict.map_or(w, |c: u8| c.max(w)));
-            }
-            Layout::R3 => has3 = true,
-            Layout::R2 => has2 = true,
-            _ => {}
+/// The micro-ops whose selected layouts [`family_cost`] reads for `key`.
+///
+/// This one table drives both the cost model and the AIS affected-family
+/// index (its inverse), so a candidate upgrade of micro-op `m` can only
+/// change the cost of the families that list `m` here.
+/// [`family_matches`] (weight attribution) is a subset of it.
+fn cost_deps(key: OpKey) -> [Option<MicroOp>; 2] {
+    match key {
+        OpKey::DpReg(op, set_flags) => [
+            Some(MicroOp::Dp3 { op, set_flags }),
+            Some(MicroOp::Dp2Reg { op, set_flags }),
+        ],
+        // Read as two separate widths: 2-address and 3-address forms.
+        OpKey::DpImm(op, set_flags) => [
+            Some(MicroOp::Dp2Imm { op, set_flags }),
+            Some(MicroOp::Dp3 { op, set_flags }),
+        ],
+        OpKey::CmpImm(op) => [Some(MicroOp::CmpImm { op }), Some(MicroOp::CmpReg { op })],
+        OpKey::Mem(op) => [Some(MicroOp::Mem { op }), None],
+        OpKey::Branch(cond, link) => [Some(MicroOp::Branch { cond, link }), None],
+        OpKey::ShiftImm(kind, set_flags) => [Some(MicroOp::ShiftImm { kind, set_flags }), None],
+        OpKey::PredMov(cond, true) => [Some(MicroOp::PredMovImm { cond }), None],
+        OpKey::PredMov(cond, false) => [Some(MicroOp::PredMovReg { cond }), None],
+        OpKey::ShiftReg(..) | OpKey::CmpReg(_) | OpKey::Mul | OpKey::BranchReg | OpKey::Swi => {
+            [None, None]
         }
     }
-    (lit, dict, has3, has2)
 }
 
-/// Expected FITS instructions per dynamic use of `key` under `sel`.
+/// What the selection holds for a set of micro-ops.
+#[derive(Clone, Copy, Default)]
+struct Widths {
+    /// Widest literal field.
+    lit: Option<u8>,
+    /// Widest dictionary index.
+    dict: Option<u8>,
+    /// A 3-operand register form is selected.
+    has3: bool,
+    /// A 2-operand register form is selected.
+    has2: bool,
+    /// Any entry is selected.
+    any: bool,
+}
+
+/// Folds the selected entries of `micros` into [`Widths`], one range read
+/// per micro-op (a [`SelKey`] orders by micro-op first).
+fn widths(sel: &BTreeMap<SelKey, Selected>, micros: &[Option<MicroOp>]) -> Widths {
+    let mut out = Widths::default();
+    for &m in micros.iter().flatten() {
+        for s in sel.range((m, 0)..=(m, u8::MAX)).map(|(_, s)| s) {
+            out.any = true;
+            match s.layout {
+                Layout::R2Imm { w }
+                | Layout::RRImm { w }
+                | Layout::MemImm { w }
+                | Layout::Br { w } => {
+                    out.lit = Some(out.lit.map_or(w, |c| c.max(w)));
+                }
+                Layout::R2Dict { w } | Layout::RRDict { w } | Layout::MemDict { w } => {
+                    out.dict = Some(out.dict.map_or(w, |c| c.max(w)));
+                }
+                Layout::R3 => out.has3 = true,
+                Layout::R2 => out.has2 = true,
+                _ => {}
+            }
+        }
+    }
+    out
+}
+
+/// Expected FITS instructions per dynamic use of `key` under `sel`. Reads
+/// `sel` only through [`cost_deps`].
 fn family_cost(key: OpKey, fd: &FamilyData, sel: &BTreeMap<SelKey, Selected>) -> f64 {
+    let deps = cost_deps(key);
+    let lit_cov = |w: Option<u8>| w.map_or(0.0, |w| fd.lit_cov[w as usize]);
+    let dict_cov = |w: Option<u8>| w.map_or(0.0, |w| fd.dict_cov[w as usize]);
     match key {
-        OpKey::DpReg(op, sf) => {
-            let (_, _, has3, has2) = selection_widths(
-                sel,
-                |m| matches!(m, MicroOp::Dp3{op: o, set_flags: s} | MicroOp::Dp2Reg{op: o, set_flags: s} if *o == op && *s == sf),
-            );
-            if has3 {
+        OpKey::DpReg(..) => {
+            let w = widths(sel, &deps);
+            if w.has3 {
                 1.0
-            } else if has2 {
+            } else if w.has2 {
                 2.0 - fd.eq_rate
             } else {
                 3.0
             }
         }
-        OpKey::DpImm(op, sf) => {
-            let (lit, dict, _, _) = selection_widths(
-                sel,
-                |m| matches!(m, MicroOp::Dp2Imm{op: o, set_flags: s} if *o == op && *s == sf),
-            );
-            let (lit3, dict3, _, _) = selection_widths(
-                sel,
-                |m| matches!(m, MicroOp::Dp3{op: o, set_flags: s} if *o == op && *s == sf),
-            );
-            let lit_cov = lit.map_or(0.0, |w| fd.lit_cov[w as usize]);
-            let dict_cov = dict.map_or(0.0, |w| fd.dict_cov[w as usize]);
+        OpKey::DpImm(..) => {
+            let w2 = widths(sel, &deps[..1]);
+            let w3 = widths(sel, &deps[1..]);
             // 3-address immediate forms cover regardless of rd == rn.
-            let cov3 = lit3
-                .map_or(0.0, |w| fd.lit_cov[w as usize])
-                .max(dict3.map_or(0.0, |w| fd.dict_cov[w as usize]));
-            let covered2 = lit_cov.max(dict_cov);
+            let cov3 = lit_cov(w3.lit).max(dict_cov(w3.dict));
+            let covered2 = lit_cov(w2.lit).max(dict_cov(w2.dict));
             let eq = fd.eq_rate;
             // Best case per use: 3-addr hit (1), else 2-addr hit with
             // rd == rn (1), else 2-addr hit plus mov (2), else build.
@@ -363,51 +405,23 @@ fn family_cost(key: OpKey, fd: &FamilyData, sel: &BTreeMap<SelKey, Selected>) ->
             let rest = (1.0 - one - two).max(0.0);
             one + 2.0 * two + rest * (CONST_BUILD_COST + 1.0)
         }
-        OpKey::CmpImm(op) => {
-            let (lit, dict, _, has2) = selection_widths(
-                sel,
-                |m| matches!(m, MicroOp::CmpImm { op: o } | MicroOp::CmpReg { op: o } if *o == op),
-            );
-            let _ = has2;
-            let lit_cov = lit.map_or(0.0, |w| fd.lit_cov[w as usize]);
-            let dict_cov = dict.map_or(0.0, |w| fd.dict_cov[w as usize]);
-            let covered = lit_cov.max(dict_cov);
+        OpKey::CmpImm(_) => {
+            let w = widths(sel, &deps);
+            let covered = lit_cov(w.lit).max(dict_cov(w.dict));
             covered + (1.0 - covered) * (CONST_BUILD_COST + 1.0)
         }
-        OpKey::Mem(op) => {
-            let (lit, dict, _, _) =
-                selection_widths(sel, |m| matches!(m, MicroOp::Mem { op: o } if *o == op));
-            let lit_cov = lit.map_or(0.0, |w| fd.lit_cov[w as usize]);
-            let dict_cov = dict.map_or(0.0, |w| fd.dict_cov[w as usize]);
-            let covered = lit_cov.max(dict_cov);
+        OpKey::Mem(_) | OpKey::ShiftImm(..) => {
+            let w = widths(sel, &deps);
+            let covered = lit_cov(w.lit).max(dict_cov(w.dict));
             covered + (1.0 - covered) * 3.0
         }
-        OpKey::Branch(cond, link) => {
-            let (lit, _, _, _) = selection_widths(
-                sel,
-                |m| matches!(m, MicroOp::Branch { cond: c, link: l } if *c == cond && *l == link),
-            );
-            let cov = lit.map_or(0.0, |w| fd.lit_cov[w as usize]);
+        OpKey::Branch(..) => {
+            let cov = lit_cov(widths(sel, &deps).lit);
             cov + (1.0 - cov) * 2.0
         }
-        OpKey::ShiftImm(kind, sf) => {
-            let (lit, dict, _, _) = selection_widths(
-                sel,
-                |m| matches!(m, MicroOp::ShiftImm { kind: k, set_flags: s } if *k == kind && *s == sf),
-            );
-            let lit_cov = lit.map_or(0.0, |w| fd.lit_cov[w as usize]);
-            let dict_cov = dict.map_or(0.0, |w| fd.dict_cov[w as usize]);
-            let covered = lit_cov.max(dict_cov);
-            covered + (1.0 - covered) * 3.0
-        }
         OpKey::ShiftReg(..) => 2.0 - fd.eq_rate,
-        OpKey::PredMov(cond, imm) => {
-            let present = sel.values().any(|s| match (&s.micro, imm) {
-                (MicroOp::PredMovImm { cond: c }, true) => *c == cond,
-                (MicroOp::PredMovReg { cond: c }, false) => *c == cond,
-                _ => false,
-            });
-            if present {
+        OpKey::PredMov(..) => {
+            if widths(sel, &deps).any {
                 1.0
             } else {
                 2.0
@@ -417,10 +431,15 @@ fn family_cost(key: OpKey, fd: &FamilyData, sel: &BTreeMap<SelKey, Selected>) ->
     }
 }
 
+/// One family's share of [`total_cost`].
+fn family_term(key: OpKey, fd: &FamilyData, sel: &BTreeMap<SelKey, Selected>) -> f64 {
+    fd.dyn_ as f64 * family_cost(key, fd, sel)
+}
+
 fn total_cost(families: &BTreeMap<OpKey, FamilyData>, sel: &BTreeMap<SelKey, Selected>) -> f64 {
     families
         .iter()
-        .map(|(k, fd)| fd.dyn_ as f64 * family_cost(*k, fd, sel))
+        .map(|(k, fd)| family_term(*k, fd, sel))
         .sum()
 }
 
@@ -454,12 +473,9 @@ fn insert(
     }
 }
 
-/// Runs instruction-set synthesis.
-#[must_use]
-pub fn synthesize(profile: &Profile, opts: &SynthOptions) -> Synthesis {
-    let r = opts.reg_bits;
-    let families = build_family_data(profile, opts);
-    let budget = (65536.0 * opts.space_budget) as u64;
+/// The BIS and SIS tiers: every operation the program uses in at least a
+/// basic form, plus the glue that keeps the set complete.
+fn base_selection(profile: &Profile) -> BTreeMap<SelKey, Selected> {
     let mut sel: BTreeMap<SelKey, Selected> = BTreeMap::new();
     let weight = |k: &OpKey| profile.families.get(k).map_or(0, |s| s.dyn_);
 
@@ -694,8 +710,11 @@ pub fn synthesize(profile: &Profile, opts: &SynthOptions) -> Synthesis {
         Tier::Sis,
         0,
     );
+    sel
+}
 
-    // ---- AIS: greedy utilization-driven upgrades ------------------------
+/// The AIS candidate upgrades, in profile family order.
+fn ais_candidates(profile: &Profile, opts: &SynthOptions) -> Vec<(MicroOp, Layout)> {
     let mut candidates: Vec<(MicroOp, Layout)> = Vec::new();
     for key in profile.families.keys() {
         match key {
@@ -806,22 +825,67 @@ pub fn synthesize(profile: &Profile, opts: &SynthOptions) -> Synthesis {
             _ => {}
         }
     }
+    candidates
+}
+
+/// The AIS stage: a greedy utilization-driven optimizer. Each round
+/// applies the candidate with the best cost reduction per opcode-space
+/// unit that keeps the selection within `budget`, until no candidate
+/// reduces the cost. Returns the number of upgrades applied.
+///
+/// A trial costs only what it changes. [`family_cost`] reads the selection
+/// only through [`cost_deps`], so a candidate for micro-op `m` re-prices
+/// just the families that list `m` (at most two). The trial inserts the
+/// candidate into `sel`, re-prices those families' cached terms, sums all
+/// terms in family order and then undoes both. That is the same f64 fold
+/// as [`total_cost`]; a `base − old + new` delta would round differently
+/// and could flip a greedy tie. Space is exact `u64` arithmetic.
+fn ais_greedy(
+    families: &BTreeMap<OpKey, FamilyData>,
+    candidates: &[(MicroOp, Layout)],
+    sel: &mut BTreeMap<SelKey, Selected>,
+    budget: u64,
+    r: u8,
+) -> usize {
+    let fams: Vec<(OpKey, &FamilyData)> = families.iter().map(|(k, fd)| (*k, fd)).collect();
+    let mut affected: HashMap<MicroOp, Vec<usize>> = HashMap::new();
+    for (i, (key, _)) in fams.iter().enumerate() {
+        for m in cost_deps(*key).into_iter().flatten() {
+            affected.entry(m).or_default().push(i);
+        }
+    }
+    let affected_by = |m: &MicroOp| affected.get(m).map_or(&[][..], Vec::as_slice);
+    let reprice = |terms: &mut [f64], sel: &BTreeMap<SelKey, Selected>, hit: &[usize]| {
+        for &f in hit {
+            let (key, fd) = fams[f];
+            terms[f] = family_term(key, fd, sel);
+        }
+    };
+    let mut terms: Vec<f64> = fams
+        .iter()
+        .map(|(key, fd)| family_term(*key, fd, sel))
+        .collect();
+    let mut space = space_of(sel, r);
+    let mut saved: Vec<f64> = Vec::new();
 
     let mut upgrades = 0usize;
     loop {
-        let base_cost = total_cost(&families, &sel);
-        let base_space = space_of(&sel, r);
+        let base_cost: f64 = terms.iter().sum();
         let mut best: Option<(f64, usize)> = None;
         for (i, (micro, layout)) in candidates.iter().enumerate() {
             let key = (*micro, layout_kind(*layout));
             // Skip no-op "upgrades" (narrower or equal to current).
-            if let Some(cur) = sel.get(&key) {
-                if layout.operand_bits(r) <= cur.layout.operand_bits(r) {
-                    continue;
-                }
+            let replaced = match sel.get(&key) {
+                Some(cur) if layout.operand_bits(r) <= cur.layout.operand_bits(r) => continue,
+                Some(cur) => 1u64 << cur.layout.operand_bits(r),
+                None => 0,
+            };
+            let trial_space = space - replaced + (1u64 << layout.operand_bits(r));
+            if trial_space > budget {
+                continue;
             }
-            let mut trial = sel.clone();
-            trial.insert(
+            let hit = affected_by(micro);
+            let prev = sel.insert(
                 key,
                 Selected {
                     micro: *micro,
@@ -830,29 +894,35 @@ pub fn synthesize(profile: &Profile, opts: &SynthOptions) -> Synthesis {
                     weight: 0,
                 },
             );
-            let space = space_of(&trial, r);
-            if space > budget {
-                continue;
+            saved.clear();
+            saved.extend(hit.iter().map(|&f| terms[f]));
+            reprice(&mut terms, sel, hit);
+            let trial_cost: f64 = terms.iter().sum();
+            for (&f, &t) in hit.iter().zip(&saved) {
+                terms[f] = t;
             }
-            let gain = base_cost - total_cost(&families, &trial);
+            match prev {
+                Some(prev) => sel.insert(key, prev),
+                None => sel.remove(&key),
+            };
+            let gain = base_cost - trial_cost;
             if gain <= 0.0 {
                 continue;
             }
-            let dspace = (space - base_space.min(space)).max(1) as f64;
-            let ratio = gain / dspace;
+            // Positive: a candidate is strictly wider than what it replaces.
+            let ratio = gain / (trial_space - space) as f64;
             if best.is_none_or(|(b, _)| ratio > b) {
                 best = Some((ratio, i));
             }
         }
         let Some((_, i)) = best else { break };
         let (micro, layout) = candidates[i];
-        let fam_weight = profile
-            .families
+        let fam_weight = fams
             .iter()
             .filter(|(k, _)| family_matches(k, &micro))
-            .map(|(_, s)| s.dyn_)
+            .map(|(_, fd)| fd.dyn_)
             .sum();
-        sel.insert(
+        let prev = sel.insert(
             (micro, layout_kind(layout)),
             Selected {
                 micro,
@@ -861,11 +931,36 @@ pub fn synthesize(profile: &Profile, opts: &SynthOptions) -> Synthesis {
                 weight: fam_weight,
             },
         );
+        if let Some(prev) = prev {
+            space -= 1u64 << prev.layout.operand_bits(r);
+        }
+        space += 1u64 << layout.operand_bits(r);
+        reprice(&mut terms, sel, affected_by(&micro));
         upgrades += 1;
         if upgrades > 200 {
             break; // safety valve
         }
     }
+    upgrades
+}
+
+/// Runs instruction-set synthesis.
+#[must_use]
+pub fn synthesize(profile: &Profile, opts: &SynthOptions) -> Synthesis {
+    let r = opts.reg_bits;
+    let cats = CategoryHists::new(profile);
+    let families = build_family_data(profile, opts, &cats);
+    let budget = (65536.0 * opts.space_budget) as u64;
+    let mut sel = base_selection(profile);
+
+    // ---- AIS: greedy utilization-driven upgrades ------------------------
+    let upgrades = ais_greedy(
+        &families,
+        &ais_candidates(profile, opts),
+        &mut sel,
+        budget,
+        r,
+    );
 
     // ---- Build dictionaries ---------------------------------------------
     let dict_width = |kind_pred: &dyn Fn(&Selected) -> bool| -> u8 {
@@ -885,45 +980,13 @@ pub fn synthesize(profile: &Profile, opts: &SynthOptions) -> Synthesis {
     let mem_dict_w = dict_width(&|s| matches!(s.layout, Layout::MemDict { .. }));
     let shift_dict_w = dict_width(&|s| matches!(s.layout, Layout::RRDict { .. }));
 
-    let mut operate_all = crate::profile::ValueHist::default();
-    for hist in profile.operate_imms.values() {
-        for (v, s) in hist.by_dynamic_weight() {
-            operate_all.record_weighted(v, s);
-        }
-    }
     let op_cap = (1usize << op_dict_w).saturating_sub(RESERVED_DICT_SLOTS);
-    let operate: Vec<u32> = operate_all
-        .by_dynamic_weight()
-        .into_iter()
-        .take(op_cap)
-        .map(|(v, _)| v)
-        .collect();
-
-    let mut mem_all = crate::profile::ValueHist::default();
-    for hist in profile.mem_disps.values() {
-        for (v, s) in hist.by_dynamic_weight() {
-            mem_all.record_weighted(v, s);
-        }
-    }
-    let mem_disp: Vec<u32> = mem_all
-        .by_dynamic_weight()
-        .into_iter()
-        .take(1 << mem_dict_w)
-        .map(|(v, _)| v)
-        .collect();
-
-    let mut shift_all = crate::profile::ValueHist::default();
-    for hist in profile.shift_amounts.values() {
-        for (v, s) in hist.by_dynamic_weight() {
-            shift_all.record_weighted(v, s);
-        }
-    }
-    let shift: Vec<u32> = shift_all
-        .by_dynamic_weight()
-        .into_iter()
-        .take(1 << shift_dict_w)
-        .map(|(v, _)| v)
-        .collect();
+    let head = |hist: &[(u32, Stat)], n: usize| -> Vec<u32> {
+        hist.iter().take(n).map(|(v, _)| *v).collect()
+    };
+    let operate = head(&cats.operate, op_cap);
+    let mem_disp = head(&cats.mem, 1 << mem_dict_w);
+    let shift = head(&cats.shift, 1 << shift_dict_w);
 
     // ---- Canonical (optionally Gray-reordered) code assignment ----------
     let mut entries: Vec<Selected> = sel.into_values().collect();
@@ -986,6 +1049,12 @@ pub fn synthesize(profile: &Profile, opts: &SynthOptions) -> Synthesis {
     }
 }
 
+/// Whether an AIS upgrade of `micro` serves family `key`: the weight
+/// attribution behind an upgrade's [`Selected::weight`], which orders
+/// opcodes within a length class in [`assign_codes`]. Deliberately
+/// narrower than the cost model: every pair it accepts has `micro` in
+/// [`cost_deps`]`(key)`, but not the converse (a `Dp3` upgrade also
+/// re-prices `DpImm`, yet is attributed to `DpReg` alone).
 fn family_matches(key: &OpKey, micro: &MicroOp) -> bool {
     matches!(
         (key, micro),
@@ -1071,7 +1140,12 @@ fn assign_codes(entries: &mut [Selected], r: u8, toggle_aware: bool) -> Vec<Opco
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
+    use std::sync::OnceLock;
+
     use super::*;
     use crate::profile::profile;
     use fits_kernels::kernels::{Kernel, Scale};
@@ -1079,6 +1153,40 @@ mod tests {
     fn crc_profile() -> Profile {
         let program = Kernel::Crc32.compile(Scale::test()).unwrap();
         profile(&program).unwrap()
+    }
+
+    /// Every suite kernel's profile at test scale, built once per test
+    /// binary.
+    pub(super) fn suite_profiles() -> &'static [(Kernel, Profile)] {
+        static SUITE: OnceLock<Vec<(Kernel, Profile)>> = OnceLock::new();
+        SUITE.get_or_init(|| {
+            Kernel::ALL
+                .iter()
+                .map(|k| (*k, profile(&k.compile(Scale::test()).unwrap()).unwrap()))
+                .collect()
+        })
+    }
+
+    #[test]
+    fn attribution_is_a_subset_of_the_cost_dependencies() {
+        let opts = SynthOptions::default();
+        for (kernel, p) in suite_profiles() {
+            let micros: Vec<MicroOp> = ais_candidates(p, &opts)
+                .into_iter()
+                .map(|(m, _)| m)
+                .collect();
+            for key in p.families.keys() {
+                for m in &micros {
+                    if family_matches(key, m) {
+                        assert!(
+                            cost_deps(*key).contains(&Some(*m)),
+                            "{}: {key:?} attributes {m:?} but its cost does not read it",
+                            kernel.name()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
