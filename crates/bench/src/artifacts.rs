@@ -9,20 +9,29 @@
 //! computes each artifact once and hands out `Arc`s; create one per process
 //! (or per suite run, when measurement passes must stay independent) and
 //! share it freely across worker threads.
+//!
+//! Computing the profile and the flow executes the native and the FITS
+//! binary once each, through the recorder. [`Artifacts::profile_recorded`]
+//! and [`Artifacts::flow_recorded`] hand those recordings to the one call
+//! that computed the artifact, so the caller can price them instead of
+//! executing again, and cache the lifts they were made against. The
+//! recordings themselves are never cached: a trace grows with the dynamic
+//! instruction count, and the cache lives as long as its host.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use fits_core::{
-    profile_with, FitsSet, FlowError, FlowObserver, FlowOutcome, FlowStage, Profile, SynthOptions,
+    profile_recorded, FitsSet, FlowError, FlowObserver, FlowOutcome, FlowStage, Profile,
+    SynthOptions,
 };
 use fits_isa::spec::{Ar32Tables, SpecCatalog};
 use fits_isa::thumb::{self, T16Program};
 use fits_isa::{Program, Reg};
 use fits_kernels::kernels::{Kernel, Scale};
-use fits_sim::{Ar32Set, CompiledProgram};
+use fits_sim::{Ar32Set, CompiledProgram, RecordedTrace};
 
-use crate::experiment::ExperimentError;
+use crate::experiment::{note_timed_execution, ExperimentError};
 
 /// The low-register window the THUMB baseline recompiles for (r0–r3 stay
 /// scratch; r4–r7 are allocatable), reproducing the §6.2 register-pressure
@@ -42,13 +51,33 @@ fn get_or_compute<V>(
     key: Key,
     compute: impl FnOnce() -> Result<V, ExperimentError>,
 ) -> Result<Arc<V>, ExperimentError> {
+    get_or_compute_with(map, key, || compute().map(|v| (v, ()))).map(|(v, _)| v)
+}
+
+/// [`get_or_compute`], also returning the by-product `X` that computing the
+/// value yielded — `None` on a cache hit, since nothing was computed.
+fn get_or_compute_with<V, X>(
+    map: &Mutex<HashMap<Key, Arc<V>>>,
+    key: Key,
+    compute: impl FnOnce() -> Result<(V, X), ExperimentError>,
+) -> Result<(Arc<V>, Option<X>), ExperimentError> {
     if let Some(v) = locked(map).get(&key) {
-        return Ok(Arc::clone(v));
+        return Ok((Arc::clone(v), None));
     }
     // Computed outside the lock so distinct keys build in parallel; a racing
     // duplicate of the same key is deterministic and the first insert wins.
-    let value = Arc::new(compute()?);
-    Ok(Arc::clone(locked(map).entry(key).or_insert(value)))
+    let (value, extra) = compute()?;
+    let value = Arc::new(value);
+    Ok((
+        Arc::clone(locked(map).entry(key).or_insert(value)),
+        Some(extra),
+    ))
+}
+
+/// Caches a lift made as a by-product of another computation, unless one
+/// is already cached (lifts of one binary are identical).
+fn seed(map: &Mutex<HashMap<Key, Arc<CompiledProgram>>>, key: Key, compiled: CompiledProgram) {
+    locked(map).entry(key).or_insert_with(|| Arc::new(compiled));
 }
 
 /// A cache of compiled programs, profiles, flow outcomes and THUMB
@@ -61,7 +90,10 @@ pub struct Artifacts {
     thumbs: Mutex<HashMap<Key, Arc<T16Program>>>,
     /// Block-compiled replay descriptors for the native binary. Only the
     /// *static* compilation is cached — recorded traces scale with dynamic
-    /// instruction count and are deliberately never retained here.
+    /// instruction count and are deliberately never retained here: the
+    /// profiling and equivalence recordings are handed to the one caller
+    /// that computed them ([`Artifacts::profile_recorded`],
+    /// [`Artifacts::flow_recorded`]) and dropped once priced.
     compiled_arm: Mutex<HashMap<Key, Arc<CompiledProgram>>>,
     /// Block-compiled replay descriptors for the synthesized FITS binary.
     compiled_fits: Mutex<HashMap<Key, Arc<CompiledProgram>>>,
@@ -169,6 +201,17 @@ impl Artifacts {
         })
     }
 
+    /// The native instruction set under this cache's AR32 tables — the one
+    /// way the cache loads the native binary, for lifting and recording.
+    pub(crate) fn native_set(
+        &self,
+        kernel: Kernel,
+        scale: Scale,
+    ) -> Result<Ar32Set, ExperimentError> {
+        let program = self.program(kernel, scale)?;
+        Ok(Ar32Set::load_with(&program, self.tables()?))
+    }
+
     /// The stage-1 profile of the native program (includes the reference
     /// functional run).
     ///
@@ -176,17 +219,38 @@ impl Artifacts {
     ///
     /// Propagates compilation and simulation failures.
     pub fn profile(&self, kernel: Kernel, scale: Scale) -> Result<Arc<Profile>, ExperimentError> {
+        self.profile_recorded(kernel, scale).map(|(prof, _)| prof)
+    }
+
+    /// [`Artifacts::profile`], also handing back the profiling run's
+    /// recording when this call computed the profile (`None` on a cache
+    /// hit). The recording prices the native binary without a second
+    /// execution; it is never cached, and the lift it was made against
+    /// seeds [`Artifacts::compiled_arm`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates compilation and simulation failures.
+    pub fn profile_recorded(
+        &self,
+        kernel: Kernel,
+        scale: Scale,
+    ) -> Result<(Arc<Profile>, Option<RecordedTrace>), ExperimentError> {
         let program = self.program(kernel, scale)?;
         let tables = self.tables()?;
-        get_or_compute(&self.profiles, (kernel, scale.n), || {
+        let key = (kernel, scale.n);
+        get_or_compute_with(&self.profiles, key, || {
             let start = std::time::Instant::now();
-            let prof = profile_with(&program, tables).map_err(ExperimentError::Sim)?;
+            note_timed_execution();
+            let (prof, compiled, trace) =
+                profile_recorded(&program, tables).map_err(ExperimentError::Sim)?;
             // The flow below skips stage 1 (it consumes this cached
             // profile), so the profiling execution is reported here.
             if let Some(obs) = &self.flow_observer {
                 obs.stage(FlowStage::Profile, start.elapsed());
             }
-            Ok(prof)
+            seed(&self.compiled_arm, key, compiled);
+            Ok((prof, trace))
         })
     }
 
@@ -198,9 +262,27 @@ impl Artifacts {
     ///
     /// Propagates compilation, profiling and flow failures.
     pub fn flow(&self, kernel: Kernel, scale: Scale) -> Result<Arc<FlowOutcome>, ExperimentError> {
+        self.flow_recorded(kernel, scale).map(|(flow, _)| flow)
+    }
+
+    /// [`Artifacts::flow`], also handing back the stage-5 equivalence
+    /// recording of the FITS binary when this call computed the flow
+    /// (`None` on a cache hit). Like [`Artifacts::profile_recorded`], the
+    /// recording is never cached, and its lift seeds
+    /// [`Artifacts::compiled_fits`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates compilation, profiling and flow failures.
+    pub fn flow_recorded(
+        &self,
+        kernel: Kernel,
+        scale: Scale,
+    ) -> Result<(Arc<FlowOutcome>, Option<RecordedTrace>), ExperimentError> {
         let program = self.program(kernel, scale)?;
         let prof = self.profile(kernel, scale)?;
-        get_or_compute(&self.flows, (kernel, scale.n), || {
+        let key = (kernel, scale.n);
+        let (flow, trace) = get_or_compute_with(&self.flows, key, || {
             let mut flow = fits_verify::verified_flow();
             if let Some(options) = self.synth.clone() {
                 flow = flow.with_options(options);
@@ -211,9 +293,17 @@ impl Artifacts {
             if let Some(obs) = &self.flow_observer {
                 flow = flow.with_observer(Arc::clone(obs));
             }
-            flow.run_profiled(&program, (*prof).clone())
-                .map_err(ExperimentError::Flow)
-        })
+            let (outcome, recording) = flow
+                .run_profiled_recorded(&program, (*prof).clone())
+                .map_err(ExperimentError::Flow)?;
+            let trace = recording.map(|(compiled, trace)| {
+                note_timed_execution();
+                seed(&self.compiled_fits, key, compiled);
+                trace
+            });
+            Ok((outcome, trace))
+        })?;
+        Ok((flow, trace.flatten()))
     }
 
     /// The block-compiled replay descriptor for the native program — basic
@@ -228,11 +318,8 @@ impl Artifacts {
         kernel: Kernel,
         scale: Scale,
     ) -> Result<Arc<CompiledProgram>, ExperimentError> {
-        let program = self.program(kernel, scale)?;
-        let tables = self.tables()?;
         get_or_compute(&self.compiled_arm, (kernel, scale.n), || {
-            CompiledProgram::compile(&Ar32Set::load_with(&program, tables))
-                .map_err(ExperimentError::Sim)
+            CompiledProgram::compile(&self.native_set(kernel, scale)?).map_err(ExperimentError::Sim)
         })
     }
 

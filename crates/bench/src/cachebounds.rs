@@ -29,7 +29,7 @@ use fits_verify::{
 use fits_obs::fmt::fmt_energy;
 
 use crate::artifacts::Artifacts;
-use crate::experiment::ExperimentError;
+use crate::experiment::{note_timed_execution, ExperimentError};
 
 /// Full-precision JSON float; scientific notation keeps nano-joule block
 /// energies exact (and is valid JSON), where fixed 6-decimal formatting
@@ -121,6 +121,7 @@ pub fn kernel_cache_bounds(
     let arm_audit = audit(&arm_analysis, &native_cfg(&program), &spec.icache);
     let arm_check = if traced {
         let mut m = Machine::new(Ar32Set::load(&program));
+        note_timed_execution();
         let (_, _, trace) = trace_timed_run(&mut m, &cfg).map_err(ExperimentError::Sim)?;
         Some(check_bounds(
             &arm_analysis,
@@ -148,6 +149,7 @@ pub fn kernel_cache_bounds(
     let fits_check = if traced {
         let set = FitsSet::load(&flow.fits).map_err(ExperimentError::Decode)?;
         let mut m = Machine::new(set);
+        note_timed_execution();
         let (_, _, trace) = trace_timed_run(&mut m, &cfg).map_err(ExperimentError::Sim)?;
         Some(check_bounds(
             &fits_analysis,

@@ -8,7 +8,11 @@
 //! executes **once** and is priced for both ARM cache geometries, and its
 //! FITS binary executes **once** and is priced for both FITS geometries —
 //! the per-configuration [`SimResult`]s are bit-identical to separate
-//! per-configuration runs.
+//! per-configuration runs. Those single executions are the pipeline's own:
+//! the profiling run records the native binary and the flow's equivalence
+//! check records the FITS binary, and [`run_kernel_scenarios`] prices
+//! those recordings ([`Artifacts::profile_recorded`],
+//! [`Artifacts::flow_recorded`]).
 
 use std::cell::Cell;
 use std::fmt;
@@ -17,7 +21,7 @@ use fits_core::FlowError;
 use fits_kernels::kernels::{Kernel, Scale};
 use fits_power::{cache_power, chip_power_with, CachePower, ChipPower, DecodeKind};
 use fits_scenario::{ScenarioMatrix, ScenarioSpec};
-use fits_sim::{Ar32Set, Machine, SimResult};
+use fits_sim::{CompiledProgram, InstrSet, Machine, RecordedTrace, SimResult};
 
 use crate::artifacts::Artifacts;
 
@@ -179,20 +183,33 @@ thread_local! {
     static TIMED_EXECUTIONS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Number of timed program executions this thread has performed through
-/// [`run_kernel`]/[`run_kernel_with`] — instrumentation for the tests that
-/// assert the execute-once/replay-many collapse (one ARM execution plus one
-/// FITS execution per kernel, regardless of how many cache configurations
-/// are measured).
+/// Number of whole-program executions this thread has performed through
+/// this crate: profiling runs, flow equivalence runs, the recordings
+/// [`run_kernel_scenarios`] makes for already-cached artifacts,
+/// [`price_shared_member`](crate::price_shared_member) runs and the traced
+/// cache-bounds audits. Instrumentation for the tests that assert the
+/// execute-once collapse: one ARM plus one FITS execution per kernel,
+/// regardless of how many cache configurations are measured.
 #[must_use]
 pub fn timed_executions_on_this_thread() -> u64 {
     TIMED_EXECUTIONS.with(Cell::get)
 }
 
-/// Counts one timed execution on this thread (shared with the Pareto
-/// pricer, whose per-candidate member runs are timed executions too).
+/// Counts one whole-program execution on this thread.
 pub(crate) fn note_timed_execution() {
     TIMED_EXECUTIONS.with(|c| c.set(c.get() + 1));
+}
+
+/// Records one whole-program execution of `set` against its lift, counted
+/// by [`timed_executions_on_this_thread`].
+pub(crate) fn record<S: InstrSet>(
+    set: S,
+    compiled: &CompiledProgram,
+) -> Result<RecordedTrace, ExperimentError> {
+    note_timed_execution();
+    Machine::new(set)
+        .run_recorded(compiled)
+        .map_err(ExperimentError::Sim)
 }
 
 /// Runs all four configurations for one kernel, using a private artifact
@@ -212,7 +229,9 @@ pub fn run_kernel(kernel: Kernel, scale: Scale) -> Result<KernelResults, Experim
 /// execution feeds both FITS geometries.
 ///
 /// This is [`run_kernel_scenarios`] over [`paper_matrix`] — the §5 quad is
-/// just the two SA-1100 scenario points, each measured under both ISAs.
+/// just the two SA-1100 scenario points, each measured under both ISAs. It
+/// runs before the other lookups, so on a cold cache the profiling and
+/// equivalence recordings are what it prices.
 ///
 /// # Errors
 ///
@@ -223,6 +242,7 @@ pub fn run_kernel_with(
     kernel: Kernel,
     scale: Scale,
 ) -> Result<KernelResults, ExperimentError> {
+    let mut points = run_kernel_scenarios(artifacts, kernel, scale, &paper_matrix())?;
     let program = artifacts.program(kernel, scale)?;
     let flow = artifacts.flow(kernel, scale)?;
     // The THUMB baseline is a recompilation for the 8-register window
@@ -231,7 +251,6 @@ pub fn run_kernel_with(
     // the 16-bit T16 encodings.
     let t16 = artifacts.thumb(kernel, scale)?;
 
-    let mut points = run_kernel_scenarios(artifacts, kernel, scale, &paper_matrix())?;
     let eight = points.pop().expect("paper matrix has two scenarios");
     let sixteen = points.pop().expect("paper matrix has two scenarios");
     // [`Config::ALL`] order: ARM16, ARM8, FITS16, FITS8.
@@ -284,6 +303,11 @@ pub(crate) fn priced(spec: &ScenarioSpec, sim: SimResult, decode: DecodeKind) ->
 /// Every timing replay is then priced under each scenario's own tech
 /// parameters, which is pure post-processing on the [`SimResult`].
 ///
+/// On a cold cache the executions are the pipeline's own: the profiling
+/// run's recording prices the native binary and the flow's equivalence
+/// recording prices the FITS binary. Artifacts an earlier call computed
+/// come back without a recording, and their binaries are recorded here.
+///
 /// # Errors
 ///
 /// Propagates compilation, synthesis, translation and simulation failures.
@@ -293,30 +317,33 @@ pub fn run_kernel_scenarios(
     scale: Scale,
     matrix: &ScenarioMatrix,
 ) -> Result<Vec<ScenarioRun>, ExperimentError> {
-    let program = artifacts.program(kernel, scale)?;
-    // The verified flow statically validates the accepted triple (encoding
-    // soundness, CFI, dataflow, translation validation) before execution.
-    let flow = artifacts.flow(kernel, scale)?;
     let (machines, machine_of) = matrix.machines();
 
-    // Execute once per ISA through the block-compiled recorder (the static
-    // compilation is cached in `artifacts`; the recorded trace is local to
-    // this call), then price all distinct machines in one replay pass.
+    // The native recording is priced and dropped before the flow records
+    // the FITS binary, so at most one trace is alive at a time.
     let arm_sims = {
+        let (_, trace) = artifacts.profile_recorded(kernel, scale)?;
         let compiled = artifacts.compiled_arm(kernel, scale)?;
-        let mut m = Machine::new(Ar32Set::load(&program));
-        TIMED_EXECUTIONS.with(|c| c.set(c.get() + 1));
-        let trace = m.run_recorded(&compiled).map_err(ExperimentError::Sim)?;
+        let trace = match trace {
+            Some(trace) => trace,
+            None => record(artifacts.native_set(kernel, scale)?, &compiled)?,
+        };
         trace
             .price_all(&compiled, &machines)
             .map_err(ExperimentError::Sim)?
     };
+    // The verified flow statically validates the accepted triple (encoding
+    // soundness, CFI, dataflow, translation validation) before execution.
+    let (flow, trace) = artifacts.flow_recorded(kernel, scale)?;
     let fits_sims = {
         let compiled = artifacts.compiled_fits(kernel, scale)?;
-        let set = fits_core::FitsSet::load(&flow.fits).map_err(ExperimentError::Decode)?;
-        let mut m = Machine::new(set);
-        TIMED_EXECUTIONS.with(|c| c.set(c.get() + 1));
-        let trace = m.run_recorded(&compiled).map_err(ExperimentError::Sim)?;
+        let trace = match trace {
+            Some(trace) => trace,
+            None => {
+                let set = fits_core::FitsSet::load(&flow.fits).map_err(ExperimentError::Decode)?;
+                record(set, &compiled)?
+            }
+        };
         trace
             .price_all(&compiled, &machines)
             .map_err(ExperimentError::Sim)?
@@ -437,6 +464,7 @@ pub(crate) fn kernels_in_parallel<T: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fits_sim::Ar32Set;
 
     #[test]
     fn one_kernel_all_configs() {
@@ -503,6 +531,64 @@ mod tests {
             lk_new > 2.0 * lk_old,
             "65 nm leakage share {lk_new:.3} must dwarf 0.35 um {lk_old:.3}"
         );
+    }
+
+    /// A warm cache hands back no recordings, so a second call records
+    /// both binaries itself — still two executions — and prices them to
+    /// the same bits as the first call, which priced the profiling and
+    /// equivalence recordings.
+    #[test]
+    fn warm_cache_records_each_binary_once_with_identical_results() {
+        let arts = Artifacts::new();
+        let matrix = paper_matrix();
+        let before = timed_executions_on_this_thread();
+        let handed_off =
+            run_kernel_scenarios(&arts, Kernel::Crc32, Scale::test(), &matrix).unwrap();
+        let cold = timed_executions_on_this_thread() - before;
+        let recorded = run_kernel_scenarios(&arts, Kernel::Crc32, Scale::test(), &matrix).unwrap();
+        let warm = timed_executions_on_this_thread() - before - cold;
+        assert_eq!(
+            (cold, warm),
+            (2, 2),
+            "one ARM + one FITS execution per call"
+        );
+        // Debug renders every f64 in its shortest round-trip form, so equal
+        // text means bit-identical results.
+        assert_eq!(format!("{handed_off:?}"), format!("{recorded:?}"));
+    }
+
+    /// The native set is loaded under the cache's own AR32 tables on both
+    /// paths: a respelled (same machine, different hash) catalog prices
+    /// exactly like the built-in slot, by hand-off and by fallback alike.
+    #[test]
+    fn custom_catalog_prices_like_the_builtin_on_both_paths() {
+        use fits_isa::spec::{IsaSpec, SpecCatalog, AR32_SPEC_TEXT};
+        use std::sync::Arc;
+
+        let respelled = IsaSpec::load(&AR32_SPEC_TEXT.replace(
+            "# --- branches and traps ---",
+            "# --- branches and traps (respelled) ---",
+        ))
+        .unwrap();
+        let catalog = Arc::new(SpecCatalog {
+            ar32: Arc::new(respelled),
+            ..SpecCatalog::default()
+        });
+        assert!(!catalog.is_builtin(), "mutation needle went stale");
+        let matrix = paper_matrix();
+        let sims = |runs: Vec<ScenarioRun>| -> Vec<(SimResult, SimResult)> {
+            runs.into_iter().map(|r| (r.arm.sim, r.fits.sim)).collect()
+        };
+        let builtin = sims(
+            run_kernel_scenarios(&Artifacts::new(), Kernel::Crc32, Scale::test(), &matrix).unwrap(),
+        );
+        let custom = Artifacts::new().with_isa(catalog);
+        let handed_off =
+            sims(run_kernel_scenarios(&custom, Kernel::Crc32, Scale::test(), &matrix).unwrap());
+        let recorded =
+            sims(run_kernel_scenarios(&custom, Kernel::Crc32, Scale::test(), &matrix).unwrap());
+        assert_eq!(handed_off, builtin, "hand-off path");
+        assert_eq!(recorded, builtin, "fallback path");
     }
 
     /// The execute-once/replay-many contract: `run_kernel` performs exactly

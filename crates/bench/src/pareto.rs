@@ -27,10 +27,10 @@ use fits_kernels::kernels::{Kernel, Scale};
 use fits_obs::json::escape;
 use fits_power::DecodeKind;
 use fits_scenario::{ScenarioMatrix, ScenarioSpec};
-use fits_sim::{CompiledProgram, Machine};
+use fits_sim::CompiledProgram;
 
 use crate::experiment::{
-    kernels_in_parallel, note_timed_execution, priced, run_kernel_scenarios, ExperimentError,
+    kernels_in_parallel, priced, record, run_kernel_scenarios, ExperimentError,
 };
 use crate::report::{Row, Table};
 use crate::{stamp, Artifacts, ConfigRun};
@@ -205,12 +205,7 @@ pub fn price_shared_member(
 ) -> Result<ConfigRun, ExperimentError> {
     let set = fits_core::FitsSet::load(fits).map_err(ExperimentError::Decode)?;
     let compiled = CompiledProgram::compile(&set).map_err(ExperimentError::Sim)?;
-    let mut machine = Machine::new(set);
-    note_timed_execution();
-    let trace = machine
-        .run_recorded(&compiled)
-        .map_err(ExperimentError::Sim)?;
-    let sim = trace
+    let sim = record(set, &compiled)?
         .price(&compiled, &scenario.machine_config())
         .map_err(ExperimentError::Sim)?;
     let decode = DecodeKind::Programmable {

@@ -6,7 +6,7 @@ use std::fmt;
 
 use fits_isa::spec::{Ar32Tables, SpecCatalog, SpecError};
 use fits_isa::Program;
-use fits_sim::{Machine, RunOutput, SimError};
+use fits_sim::{CompiledProgram, Machine, RecordedTrace, RunOutput, SimError};
 
 use crate::decoder::DecoderConfig;
 use crate::exec::{FitsDecodeError, FitsSet};
@@ -133,7 +133,8 @@ pub enum FlowStage {
     /// Static verification of the accepted triple (when a
     /// [`FlowValidator`] is installed).
     Verify,
-    /// Stage 5: the differential execution of the FITS binary.
+    /// Stage 5: the differential execution of the FITS binary, lifted and
+    /// recorded so the same run can be priced.
     Execute,
 }
 
@@ -386,6 +387,25 @@ impl FitsFlow {
     ///
     /// See [`FlowError`].
     pub fn run_profiled(&self, program: &Program, prof: Profile) -> Result<FlowOutcome, FlowError> {
+        self.run_profiled_recorded(program, prof)
+            .map(|(outcome, _)| outcome)
+    }
+
+    /// [`FitsFlow::run_profiled`], also handing back stage 5's lifted FITS
+    /// program and recording (`None` when `verify` is off), so a caller
+    /// can price the FITS binary ([`RecordedTrace::price_all`]) without
+    /// executing it a second time. The recording is returned, never kept
+    /// in the [`FlowOutcome`]: outcomes are cached and shared, and a trace
+    /// grows with the dynamic instruction count.
+    ///
+    /// # Errors
+    ///
+    /// See [`FlowError`].
+    pub fn run_profiled_recorded(
+        &self,
+        program: &Program,
+        prof: Profile,
+    ) -> Result<(FlowOutcome, Option<(CompiledProgram, RecordedTrace)>), FlowError> {
         let mut opts = self.options.clone();
         let mut best: Option<(Synthesis, Translation)> = None;
         let mut iterations = 0;
@@ -429,34 +449,35 @@ impl FitsFlow {
             }
         }
 
-        // Stage 4/5: configure the decoder (pre-decode) and execute.
-        let fits_run = if self.verify {
-            let run = self.timed(FlowStage::Execute, || {
+        // Stage 4/5: configure the decoder (pre-decode), lift, and execute
+        // through the recorder, so the run can also be priced.
+        let recording = if self.verify {
+            let (compiled, trace) = self.timed(FlowStage::Execute, || {
                 let set = FitsSet::load(&translation.fits)?;
-                let mut machine = Machine::new(set);
-                machine.run().map_err(FlowError::from)
+                let compiled = CompiledProgram::compile(&set)?;
+                let trace = Machine::new(set).run_recorded(&compiled)?;
+                Ok::<_, FlowError>((compiled, trace))
             })?;
             let arm = prof.run.as_ref().expect("profiling run recorded");
-            if run.exit_code != arm.exit_code || run.emitted != arm.emitted {
-                return Err(FlowError::Mismatch {
-                    arm: *arm,
-                    fits: run,
-                });
+            let fits = trace.output;
+            if fits.exit_code != arm.exit_code || fits.emitted != arm.emitted {
+                return Err(FlowError::Mismatch { arm: *arm, fits });
             }
-            Some(run)
+            Some((compiled, trace))
         } else {
             None
         };
 
-        Ok(FlowOutcome {
+        let outcome = FlowOutcome {
             profile: prof,
             synthesis,
             fits: translation.fits,
             mapping: translation.stats,
-            fits_run,
+            fits_run: recording.as_ref().map(|(_, trace)| trace.output),
             iterations,
             isa_hash: self.isa.hash_hex(),
-        })
+        };
+        Ok((outcome, recording))
     }
 }
 
@@ -552,5 +573,29 @@ mod tests {
         };
         let out = flow.run(&program).unwrap();
         assert!(out.fits_run.is_none());
+        let prof = crate::profile(&program).unwrap();
+        let (_, recording) = flow.run_profiled_recorded(&program, prof).unwrap();
+        assert!(recording.is_none());
+    }
+
+    /// The equivalence recording handed back is the FITS binary's run: its
+    /// output is the outcome's `fits_run`, and it prices like a fresh
+    /// recording of the same binary.
+    #[test]
+    fn equivalence_recording_is_handed_back() {
+        let program = Kernel::Crc32.compile(Scale::test()).unwrap();
+        let prof = crate::profile(&program).unwrap();
+        let (out, recording) = FitsFlow::new()
+            .run_profiled_recorded(&program, prof)
+            .unwrap();
+        let (compiled, trace) = recording.expect("verification records");
+        assert_eq!(out.fits_run, Some(trace.output));
+        let set = FitsSet::load(&out.fits).unwrap();
+        let fresh = Machine::new(set).run_recorded(&compiled).unwrap();
+        let cfg = fits_sim::Sa1100Config::icache_16k();
+        assert_eq!(
+            trace.price(&compiled, &cfg).unwrap(),
+            fresh.price(&compiled, &cfg).unwrap()
+        );
     }
 }

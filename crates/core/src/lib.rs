@@ -66,6 +66,6 @@ pub use multi::{
     pareto_frontier, synthesize_multi, MemberOutcome, MultiError, MultiMember, MultiOptions,
     MultiOutcome,
 };
-pub use profile::{profile, profile_with, OpKey, Profile};
+pub use profile::{profile, profile_recorded, profile_with, OpKey, Profile};
 pub use synth::{synthesize, SynthOptions, Synthesis};
 pub use translate::{translate, FitsProgram, MappingStats, TranslateError, Translation};

@@ -9,7 +9,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use fits_isa::{AddrOffset, Cond, DpOp, Instr, MemOp, Operand2, Program, Shift, ShiftKind};
-use fits_sim::{Ar32Set, Machine, RunOutput, SimError};
+use fits_sim::{Ar32Set, CompiledProgram, Machine, RecordedTrace, RunOutput, SimError};
 
 /// A static/dynamic counter pair.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -341,8 +341,22 @@ pub fn profile_with(
     program: &Program,
     tables: &fits_isa::spec::Ar32Tables,
 ) -> Result<Profile, SimError> {
+    profile_recorded(program, tables).map(|(profile, _, _)| profile)
+}
+
+/// [`profile_with`], also handing back the lifted native program and the
+/// profiling run's recording, so a caller can price the native binary
+/// ([`RecordedTrace::price_all`]) without executing it a second time.
+///
+/// # Errors
+///
+/// Propagates simulation errors from the profiling run.
+pub fn profile_recorded(
+    program: &Program,
+    tables: &fits_isa::spec::Ar32Tables,
+) -> Result<(Profile, CompiledProgram, RecordedTrace), SimError> {
     let set = Ar32Set::load_with(program, tables);
-    let compiled = fits_sim::CompiledProgram::compile(&set)?;
+    let compiled = CompiledProgram::compile(&set)?;
     let mut machine = Machine::new(set);
     let trace = machine.run_recorded(&compiled)?;
     let exec_counts = trace.exec_counts(compiled.op_count());
@@ -358,7 +372,7 @@ pub fn profile_with(
         record_instr(&mut p, instr, i, exec_counts[i]);
     }
     p.exec_counts = exec_counts;
-    Ok(p)
+    Ok((p, compiled, trace))
 }
 
 /// Returns the minimum signed-field width (in bits) that holds `v`.

@@ -2014,6 +2014,24 @@ mod tests {
         assert!(body.contains("\"rejected\": {\"member\": "));
     }
 
+    /// A cold `/simulate` prices the pipeline's own profiling and
+    /// equivalence recordings: two executions, not four. A warm slot
+    /// records both binaries again and renders the same bytes.
+    #[test]
+    fn cold_simulate_executes_each_binary_once() {
+        use fits_bench::experiment::timed_executions_on_this_thread;
+
+        let req = SimulateRequest::from_body("{\"kernel\": \"crc32\"}").unwrap();
+        let pool = fits_bench::ArtifactsPool::new();
+        let artifacts = pool.for_config(&req.synth, req.isa.as_ref());
+        let before = timed_executions_on_this_thread();
+        let cold = simulate_body(&artifacts, &req).unwrap();
+        assert_eq!(timed_executions_on_this_thread() - before, 2, "cold miss");
+        let warm = simulate_body(&artifacts, &req).unwrap();
+        assert_eq!(timed_executions_on_this_thread() - before, 4, "warm miss");
+        assert_eq!(cold, warm);
+    }
+
     #[test]
     fn analyze_body_validates_and_embeds_a_sound_report() {
         let req =

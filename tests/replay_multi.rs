@@ -54,7 +54,11 @@ fn check_replay_many<S: InstrSet + Clone>(set: &S, cfgs: &[Sa1100Config], label:
         .run_recorded(&compiled)
         .expect("multi run");
     let multi_sims = multi.price_all(&compiled, cfgs).expect("price all");
-    assert_eq!(multi_sims.len(), cfgs.len(), "{label}: one result per config");
+    assert_eq!(
+        multi_sims.len(),
+        cfgs.len(),
+        "{label}: one result per config"
+    );
     for (cfg, multi_sim) in cfgs.iter().zip(&multi_sims) {
         let single = Machine::new(set.clone())
             .run_recorded(&compiled)
