@@ -36,8 +36,9 @@ use std::process::ExitCode;
 use fits_bench::{cache_bounds_report, ExperimentError};
 use fits_isa::spec::{AR32_SPEC_TEXT, FITS_SPEC_TEXT, T16_SPEC_TEXT};
 use fits_kernels::kernels::{Kernel, Scale};
+use fits_obs::json::escape;
 use fits_scenario::ScenarioSpec;
-use fits_verify::{json_string, lint_kernel, lint_spec_text};
+use fits_verify::{lint_kernel, lint_spec_text};
 
 /// Everything that can stop a `fitslint` run (exit code 1). Usage errors
 /// are handled separately (exit code 2); findings are not errors.
@@ -240,9 +241,9 @@ fn run_lint(args: &Args) -> Result<bool, LintError> {
                 match args.format {
                     Format::Text => eprintln!("fitslint: {err}"),
                     Format::Json => json_entries.push(format!(
-                        "{{\"name\":{},\"clean\":false,\"error\":{}}}",
-                        json_string(kernel.name()),
-                        json_string(&err)
+                        "{{\"name\":\"{}\",\"clean\":false,\"error\":\"{}\"}}",
+                        escape(kernel.name()),
+                        escape(&err)
                     )),
                 }
             }
@@ -309,9 +310,9 @@ fn run_isa(args: &Args) -> Result<bool, LintError> {
                 match args.format {
                     Format::Text => text.push_str(&format!("{operand}: {err}\n")),
                     Format::Json => json_entries.push(format!(
-                        "{{\"name\":{},\"clean\":false,\"error\":{}}}",
-                        json_string(operand),
-                        json_string(&err.to_string())
+                        "{{\"name\":\"{}\",\"clean\":false,\"error\":\"{}\"}}",
+                        escape(operand),
+                        escape(&err.to_string())
                     )),
                 }
             }

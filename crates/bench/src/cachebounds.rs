@@ -22,11 +22,12 @@ use fits_power::{access_energy_bounds, AccessEnergyBounds};
 use fits_scenario::ScenarioSpec;
 use fits_sim::{Ar32Set, Machine};
 use fits_verify::{
-    analyze_fits_cache, analyze_native_cache, audit, fits_cfg, json_string, native_cfg,
-    CacheAnalysis, Diagnostic,
+    analyze_fits_cache, analyze_native_cache, audit, fits_cfg, native_cfg, CacheAnalysis,
+    Diagnostic,
 };
 
 use fits_obs::fmt::fmt_energy;
+use fits_obs::json::escape;
 
 use crate::artifacts::Artifacts;
 use crate::experiment::{note_timed_execution, ExperimentError};
@@ -264,18 +265,18 @@ impl CacheBoundsReport {
             .iter()
             .map(|k| {
                 format!(
-                    "{{\"kernel\":{},\"arm\":{},\"fits\":{}}}",
-                    json_string(k.kernel.name()),
+                    "{{\"kernel\":\"{}\",\"arm\":{},\"fits\":{}}}",
+                    escape(k.kernel.name()),
                     render_stream_json(&k.arm, &self.energy),
                     render_stream_json(&k.fits, &self.energy)
                 )
             })
             .collect();
         format!(
-            "{{\"schema\":\"powerfits-cache-bounds-v1\",\"preset\":{},\"scale\":{},\
+            "{{\"schema\":\"powerfits-cache-bounds-v1\",\"preset\":\"{}\",\"scale\":\"{}\",\
              \"kernels\":[{}],\"sound\":{}}}",
-            json_string(&self.scenario),
-            json_string(&self.scale.n.to_string()),
+            escape(&self.scenario),
+            self.scale.n,
             kernels.join(","),
             self.is_sound()
         )
@@ -350,7 +351,11 @@ fn render_stream_json(stream: &StreamBounds, energy: &AccessEnergyBounds) -> Str
     if let Some(check) = &stream.check {
         let (lo, hi) = check.miss_interval();
         let (e_lo, e_hi) = check.energy_envelope(energy);
-        let violations: Vec<String> = check.violations.iter().map(|v| json_string(v)).collect();
+        let violations: Vec<String> = check
+            .violations
+            .iter()
+            .map(|v| format!("\"{}\"", escape(v)))
+            .collect();
         out.push_str(&format!(
             ",\"bounds\":{{\"accesses\":{},\"misses\":{},\"miss_min\":{lo},\"miss_max\":{hi},\
              \"energy_lo_j\":{},\"energy_hi_j\":{},\"violations\":[{}]}}",

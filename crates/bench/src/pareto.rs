@@ -645,4 +645,15 @@ mod tests {
             "empty frontier must not validate"
         );
     }
+
+    #[test]
+    fn every_pareto_mutant_is_rejected() {
+        let json = pareto_json(&tiny_pareto());
+        let doc = fits_obs::json::parse(&json).expect("parses");
+        let all = fits_obs::json::mutants(&doc, &fits_obs::json::PARETO);
+        assert!(all.len() > 60, "{} mutants", all.len());
+        for mutant in &all {
+            assert!(validate_pareto_json(mutant).is_err(), "accepted {mutant}");
+        }
+    }
 }

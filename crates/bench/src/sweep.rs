@@ -357,4 +357,15 @@ mod tests {
         assert_eq!(table.rows.len(), 4);
         assert!(table.to_string().contains("sa1100-i16k"));
     }
+
+    #[test]
+    fn every_sweep_mutant_is_rejected() {
+        let json = sweep_json(&tiny_sweep());
+        let doc = fits_obs::json::parse(&json).expect("parses");
+        let all = fits_obs::json::mutants(&doc, &fits_obs::json::SWEEP);
+        assert!(all.len() > 40, "{} mutants", all.len());
+        for mutant in &all {
+            assert!(validate_sweep_json(mutant).is_err(), "accepted {mutant}");
+        }
+    }
 }

@@ -22,7 +22,8 @@ use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use crate::json::{parse, Value, Writer};
+use crate::json::Shape::{Arr, Lit, Num, Obj, Str};
+use crate::json::{text_of, typed_line, Shape, Value, Writer};
 use crate::metrics::Counter;
 use crate::span::Span;
 
@@ -349,23 +350,24 @@ pub struct AccessStats {
     pub traces: Vec<String>,
 }
 
-fn field<'v>(obj: &'v [(String, Value)], key: &str) -> Option<&'v Value> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
+/// The leading `meta` record of an access log.
+const ACCESS_META: Shape = Obj(&[
+    ("type", Lit("meta")),
+    ("schema", Lit(ACCESS_SCHEMA)),
+    ("pid", Num),
+    ("commit", Str),
+]);
 
-fn str_of<'v>(obj: &'v [(String, Value)], key: &str, line_no: usize) -> Result<&'v str, String> {
-    match field(obj, key) {
-        Some(Value::Str(s)) => Ok(s),
-        _ => Err(format!("line {line_no}: missing string field '{key}'")),
-    }
-}
-
-fn num_of(obj: &[(String, Value)], key: &str, line_no: usize) -> Result<f64, String> {
-    match field(obj, key) {
-        Some(Value::Num(n)) => Ok(*n),
-        _ => Err(format!("line {line_no}: missing number field '{key}'")),
-    }
-}
+/// The records after `meta`, one shape per `"type"`.
+const ACCESS_LINES: [Shape; 2] = [
+    Obj(&[
+        ("type", Lit("request")),
+        ("level trace method endpoint cache", Str),
+        ("status us", Num),
+        ("phases", Arr(&Obj(&[("name", Str), ("us count", Num)]))),
+    ]),
+    Obj(&[("type", Lit("event")), ("level message", Str)]),
+];
 
 /// Validates a whole JSONL access log against `powerfits-access-v1`.
 ///
@@ -379,69 +381,32 @@ pub fn validate_access_jsonl(text: &str) -> Result<AccessStats, String> {
         .lines()
         .enumerate()
         .filter(|(_, l)| !l.trim().is_empty());
-    let Some((_, first)) = lines.next() else {
+    let Some((i, first)) = lines.next() else {
         return Err("empty access log".to_string());
     };
-    let meta = match parse(first) {
-        Ok(Value::Obj(fields)) => fields,
-        Ok(_) => return Err("line 1: meta record is not an object".to_string()),
-        Err(e) => return Err(format!("line 1: {e}")),
-    };
-    if str_of(&meta, "type", 1)? != "meta" {
-        return Err("line 1: first record must have type 'meta'".to_string());
-    }
-    let schema = str_of(&meta, "schema", 1)?;
-    if schema != ACCESS_SCHEMA {
-        return Err(format!("line 1: schema '{schema}' != '{ACCESS_SCHEMA}'"));
-    }
-    num_of(&meta, "pid", 1)?;
-    stats.commit = str_of(&meta, "commit", 1)?.to_string();
+    let (meta, _) = typed_line(&[ACCESS_META], first, i + 1)?;
+    stats.commit = text_of(&meta, "commit").to_string();
 
-    for (idx, line) in lines {
-        let line_no = idx + 1;
-        let obj = match parse(line) {
-            Ok(Value::Obj(fields)) => fields,
-            Ok(_) => return Err(format!("line {line_no}: record is not an object")),
-            Err(e) => return Err(format!("line {line_no}: {e}")),
-        };
-        let level = str_of(&obj, "level", line_no)?;
+    for (i, line) in lines {
+        let (record, kind) = typed_line(&ACCESS_LINES, line, i + 1)?;
+        let level = text_of(&record, "level");
         if !matches!(level, "info" | "warn" | "error") {
-            return Err(format!("line {line_no}: bad level '{level}'"));
+            return Err(format!("line {}: bad level '{level}'", i + 1));
         }
-        match str_of(&obj, "type", line_no)? {
-            "request" => {
-                let trace = str_of(&obj, "trace", line_no)?;
-                if trace.is_empty() {
-                    return Err(format!("line {line_no}: empty trace id"));
-                }
-                str_of(&obj, "method", line_no)?;
-                str_of(&obj, "endpoint", line_no)?;
-                str_of(&obj, "cache", line_no)?;
-                let status = num_of(&obj, "status", line_no)?;
-                if !(100.0..600.0).contains(&status) {
-                    return Err(format!("line {line_no}: bad status {status}"));
-                }
-                num_of(&obj, "us", line_no)?;
-                let Some(Value::Arr(phases)) = field(&obj, "phases") else {
-                    return Err(format!("line {line_no}: missing array field 'phases'"));
-                };
-                for phase in phases {
-                    let Value::Obj(p) = phase else {
-                        return Err(format!("line {line_no}: phase is not an object"));
-                    };
-                    str_of(p, "name", line_no)?;
-                    num_of(p, "us", line_no)?;
-                    num_of(p, "count", line_no)?;
-                }
-                stats.requests += 1;
-                stats.traces.push(trace.to_string());
-            }
-            "event" => {
-                str_of(&obj, "message", line_no)?;
-                stats.events += 1;
-            }
-            other => return Err(format!("line {line_no}: unknown record type '{other}'")),
+        if kind == "event" {
+            stats.events += 1;
+            continue;
         }
+        let trace = text_of(&record, "trace");
+        if trace.is_empty() {
+            return Err(format!("line {}: empty trace id", i + 1));
+        }
+        let status = record.get("status").and_then(Value::as_f64).unwrap_or(0.0);
+        if !(100.0..600.0).contains(&status) {
+            return Err(format!("line {}: bad status {status}", i + 1));
+        }
+        stats.requests += 1;
+        stats.traces.push(trace.to_string());
     }
     Ok(stats)
 }
@@ -553,5 +518,38 @@ mod tests {
         assert_eq!(log.dropped(), 0);
         assert_eq!(log.emitted(), 0);
         log.close();
+    }
+
+    #[test]
+    fn every_access_mutant_is_rejected() {
+        let rec = AccessRecord {
+            trace: "a1b2",
+            method: "POST",
+            endpoint: "/synthesize",
+            status: 200,
+            cache: "miss",
+            us: 1234,
+            phases: &[span("parse", 10)],
+        };
+        let text = format!(
+            "{}\n{}\n{}\n",
+            meta_line("deadbeef"),
+            rec.line(),
+            event_line(Level::Info, "shutdown")
+        );
+        let all = crate::json::jsonl_mutants(&text, |i, record| {
+            let kind = record.get("type").and_then(Value::as_str);
+            match i {
+                0 => ACCESS_META,
+                _ => *ACCESS_LINES
+                    .iter()
+                    .find(|s| s.tag("type") == kind)
+                    .expect("an access record type"),
+            }
+        });
+        assert!(all.len() > 30, "{} mutants", all.len());
+        for mutant in &all {
+            assert!(validate_access_jsonl(mutant).is_err(), "accepted {mutant}");
+        }
     }
 }

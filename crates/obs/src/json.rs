@@ -1,12 +1,14 @@
-//! A dependency-free JSON scanner, escaper and JSONL trace-schema
-//! validator.
+//! A dependency-free JSON parser, escaper and writer, and one schema
+//! walker for every JSON document the workspace emits.
 //!
-//! The workspace is offline-buildable with zero external crates, so the
-//! `fitstrace --json` export is hand-written — and hand-written emitters
-//! rot silently. This module closes the loop: a small recursive-descent
-//! parser ([`parse`]) plus a schema check ([`validate_trace_jsonl`]) that
-//! the CLI runs over its *own* output before reporting success, and that
-//! CI runs in the `fitstrace --smoke` step.
+//! The workspace is offline-buildable with zero external crates, so its
+//! JSON is hand-written — and hand-written emitters rot silently. This
+//! module closes the loop: a small recursive-descent parser ([`parse`],
+//! depth-capped and linear in string length, so fitsd can feed it
+//! untrusted request bodies) and a walker ([`check`]) over declarative
+//! [`Shape`] tables. Each document validator here and in `fits-serve` is
+//! its table plus only the rules that relate one field to another; the
+//! CLIs run them over their *own* output before reporting success.
 //!
 //! ## Trace JSONL schema
 //!
@@ -14,7 +16,7 @@
 //!
 //! * `"meta"` — first line; `kernel`, `scale` (string), `icache` (string),
 //!   `scenario` (string — the machine-description id the run simulated on);
-//! * `"span"` — `path` (string), `ms` (number ≥ 0), `count` (number ≥ 1);
+//! * `"span"` — `path` (string), `ms` (number ≥ 0), `count` (number ≥ 0);
 //! * `"block"` — `addr` (string, hex), `label` (string), `func` (string),
 //!   and `arm` / `fits` objects each with numeric `retired`, `fetches`,
 //!   `switching_j`, `internal_j`, `leakage_j`;
@@ -87,9 +89,16 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so the cap bounds its stack use on hostile input; the
+/// deepest document the workspace emits, a traced fitsd flight dump, nests
+/// 8 levels.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -101,7 +110,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -120,7 +129,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, value: Value) -> Result<Value, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -131,8 +140,11 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Value, JsonError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => {
+                self.err(&format!("nesting deeper than {MAX_DEPTH}"))
+            }
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => self.string().map(Value::Str),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -141,6 +153,13 @@ impl<'a> Parser<'a> {
             Some(_) => self.err("unexpected character"),
             None => self.err("unexpected end of input"),
         }
+    }
+
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Value, JsonError>) -> Result<Value, JsonError> {
+        self.depth += 1;
+        let value = f(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Value, JsonError> {
@@ -211,6 +230,14 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote, backslash or control byte
+            // in one slice. Those bytes are ASCII, so they never fall inside
+            // a multi-byte UTF-8 sequence and the run ends on a boundary.
+            let start = self.pos;
+            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                self.pos += 1;
+            }
+            out.push_str(&self.text[start..self.pos]);
             match self.peek() {
                 None => return self.err("unterminated string"),
                 Some(b'"') => {
@@ -259,24 +286,7 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so slicing at
-                    // a char boundary is safe).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| JsonError {
-                        offset: self.pos,
-                        message: "invalid utf-8".to_string(),
-                    })?;
-                    let ch = match s.chars().next() {
-                        Some(c) => c,
-                        None => return self.err("unterminated string"),
-                    };
-                    if (ch as u32) < 0x20 {
-                        return self.err("unescaped control character");
-                    }
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+                Some(_) => return self.err("unescaped control character"),
             }
         }
     }
@@ -304,10 +314,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| JsonError {
-            offset: start,
-            message: "invalid utf-8 in number".to_string(),
-        })?;
+        let text = &self.text[start..self.pos];
         match text.parse::<f64>() {
             Ok(n) if n.is_finite() => Ok(Value::Num(n)),
             _ => Err(JsonError {
@@ -325,12 +332,13 @@ impl<'a> Parser<'a> {
 /// A [`JsonError`] with the byte offset of the first problem.
 pub fn parse(input: &str) -> Result<Value, JsonError> {
     let mut p = Parser {
-        bytes: input.as_bytes(),
+        text: input,
         pos: 0,
+        depth: 0,
     };
     let value = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != input.len() {
         return p.err("trailing characters after value");
     }
     Ok(value)
@@ -570,6 +578,256 @@ impl Writer {
     }
 }
 
+// ---------------------------------------------------------------- shapes
+
+/// The shape a JSON value must have. Every document validator in the
+/// workspace is a table of shapes walked by [`check`], plus only the rules
+/// that relate one field to another.
+#[derive(Clone, Copy)]
+pub enum Shape {
+    /// Any string.
+    Str,
+    /// Any number.
+    Num,
+    /// A number `>= 0`.
+    NonNeg,
+    /// `true` or `false`.
+    Bool,
+    /// Exactly this string (schema ids, record tags).
+    Lit(&'static str),
+    /// An object. Each row `(keys, shape)` requires every
+    /// whitespace-separated key as a member of that shape. A key may sit in
+    /// several rows (each applies); members no row names are allowed.
+    Obj(&'static [(&'static str, Shape)]),
+    /// An object member that may be absent; checked when present.
+    Opt(&'static Shape),
+    /// An array whose every item has this shape.
+    Arr(&'static Shape),
+    /// A non-empty array whose every item has this shape.
+    NonEmpty(&'static Shape),
+}
+
+use Shape::{Arr, Bool, Lit, NonEmpty, NonNeg, Num, Obj, Opt, Str};
+
+impl Shape {
+    /// The literal an object shape requires of member `key`: how tables of
+    /// record variants are told apart (`"type"`, `"endpoint"`).
+    #[must_use]
+    pub fn tag(&self, key: &str) -> Option<&'static str> {
+        match self {
+            Obj(rows) => rows.iter().find_map(|(keys, s)| match s {
+                Lit(lit) if keys.split_ascii_whitespace().any(|k| k == key) => Some(*lit),
+                _ => None,
+            }),
+            _ => None,
+        }
+    }
+
+    fn kind(&self) -> String {
+        match self {
+            Str => "string".to_string(),
+            Num => "number".to_string(),
+            NonNeg => "non-negative number".to_string(),
+            Bool => "boolean".to_string(),
+            Lit(lit) => format!("\"{lit}\""),
+            Obj(_) => "object".to_string(),
+            Opt(inner) => inner.kind(),
+            Arr(_) => "array".to_string(),
+            NonEmpty(_) => "non-empty array".to_string(),
+        }
+    }
+}
+
+/// Checks `v` against `shape`. An error names the JSON pointer of the
+/// offending value and, for a missing member, its key:
+/// `/scenarios/2/fits: missing non-negative number field "peak_w"`.
+///
+/// # Errors
+///
+/// A description of the first value that does not fit.
+pub fn check(v: &Value, shape: &Shape) -> Result<(), String> {
+    walk(v, shape).map_err(|(at, what)| {
+        if at.is_empty() {
+            what
+        } else {
+            format!("{at}: {what}")
+        }
+    })
+}
+
+/// [`check`], with the failure's pointer built on the way back up so a
+/// valid document allocates nothing.
+fn walk(v: &Value, shape: &Shape) -> Result<(), (String, String)> {
+    let fits = match (shape, v) {
+        (Str, Value::Str(_)) | (Num, Value::Num(_)) | (Bool, Value::Bool(_)) => true,
+        (NonNeg, Value::Num(n)) => *n >= 0.0,
+        (Lit(lit), Value::Str(s)) => lit == s,
+        (Opt(inner), _) => return walk(v, inner),
+        (Obj(rows), Value::Obj(_)) => {
+            for (keys, member) in *rows {
+                for key in keys.split_ascii_whitespace() {
+                    match v.get(key) {
+                        Some(m) => walk(m, member).map_err(|(at, e)| (format!("/{key}{at}"), e))?,
+                        None if matches!(member, Opt(_)) => {}
+                        None => {
+                            let what = format!("missing {} field \"{key}\"", member.kind());
+                            return Err((String::new(), what));
+                        }
+                    }
+                }
+            }
+            true
+        }
+        (Arr(item) | NonEmpty(item), Value::Arr(items)) => {
+            for (i, it) in items.iter().enumerate() {
+                walk(it, item).map_err(|(at, e)| (format!("/{i}{at}"), e))?;
+            }
+            !(matches!(shape, NonEmpty(_)) && items.is_empty())
+        }
+        _ => false,
+    };
+    if fits {
+        Ok(())
+    } else {
+        Err((String::new(), format!("expected {}", shape.kind())))
+    }
+}
+
+/// Every single-member corruption of `doc` reachable through `shape`, as
+/// compact JSON text: each required member is removed, and each present
+/// member is retyped (a number becomes a string, anything else a number).
+/// Arrays are entered through their first item. A validator whose tables
+/// are complete rejects every mutant of a document it accepts.
+#[must_use]
+pub fn mutants(doc: &Value, shape: &Shape) -> Vec<String> {
+    fn mutate(v: &Value, shape: &Shape, out: &mut Vec<Value>) {
+        match (shape, v) {
+            (Opt(inner), _) => mutate(v, inner, out),
+            (Obj(rows), Value::Obj(fields)) => {
+                for (keys, member) in *rows {
+                    for key in keys.split_ascii_whitespace() {
+                        let Some(i) = fields.iter().position(|(k, _)| k == key) else {
+                            continue;
+                        };
+                        let mut children = vec![match fields[i].1 {
+                            Value::Num(_) => Value::Str("0".to_string()),
+                            _ => Value::Num(0.0),
+                        }];
+                        mutate(&fields[i].1, member, &mut children);
+                        for child in children {
+                            let mut copy = fields.clone();
+                            copy[i].1 = child;
+                            out.push(Value::Obj(copy));
+                        }
+                        if !matches!(member, Opt(_)) {
+                            let mut copy = fields.clone();
+                            copy.remove(i);
+                            out.push(Value::Obj(copy));
+                        }
+                    }
+                }
+            }
+            (Arr(item) | NonEmpty(item), Value::Arr(items)) if !items.is_empty() => {
+                let mut children = Vec::new();
+                mutate(&items[0], item, &mut children);
+                for child in children {
+                    let mut copy = items.clone();
+                    copy[0] = child;
+                    out.push(Value::Arr(copy));
+                }
+            }
+            _ => {}
+        }
+    }
+    fn render(v: &Value) -> String {
+        let join = |parts: Vec<String>| parts.join(",");
+        match v {
+            Value::Null => "null".to_string(),
+            Value::Bool(b) => b.to_string(),
+            Value::Num(n) => n.to_string(),
+            Value::Str(s) => format!("\"{}\"", escape(s)),
+            Value::Arr(items) => format!("[{}]", join(items.iter().map(render).collect())),
+            Value::Obj(fields) => format!(
+                "{{{}}}",
+                join(
+                    fields
+                        .iter()
+                        .map(|(k, v)| format!("\"{}\":{}", escape(k), render(v)))
+                        .collect()
+                )
+            ),
+        }
+    }
+    let mut out = Vec::new();
+    mutate(doc, shape, &mut out);
+    out.iter().map(render).collect()
+}
+
+/// The items of array member `key` (empty when absent: only read after a
+/// [`check`] has passed).
+fn items<'v>(v: &'v Value, key: &str) -> &'v [Value] {
+    match v.get(key) {
+        Some(Value::Arr(items)) => items,
+        _ => &[],
+    }
+}
+
+/// The string member `key` (empty when absent: only read after a
+/// [`check`] has passed).
+pub(crate) fn text_of<'v>(v: &'v Value, key: &str) -> &'v str {
+    v.get(key).and_then(Value::as_str).unwrap_or_default()
+}
+
+/// Rejects the first repeated `"id"` among `records`.
+fn unique_ids(records: &[Value], what: &str) -> Result<(), String> {
+    for (i, r) in records.iter().enumerate() {
+        let id = text_of(r, "id");
+        if records[..i].iter().any(|o| text_of(o, "id") == id) {
+            return Err(format!("{what} {}: duplicate id \"{id}\"", i + 1));
+        }
+    }
+    Ok(())
+}
+
+/// Parses one JSONL record and checks it against the shape in `table`
+/// whose `"type"` tag it carries; returns the record and its tag.
+pub(crate) fn typed_line(
+    table: &[Shape],
+    raw: &str,
+    line: usize,
+) -> Result<(Value, &'static str), String> {
+    let at = |e: String| format!("line {line}: {e}");
+    let v = parse(raw).map_err(|e| at(e.to_string()))?;
+    let kind = v
+        .get("type")
+        .and_then(Value::as_str)
+        .ok_or_else(|| at("missing string field \"type\"".to_string()))?;
+    let (tag, shape) = table
+        .iter()
+        .find_map(|s| s.tag("type").filter(|t| *t == kind).map(|t| (t, s)))
+        .ok_or_else(|| at(format!("unknown record type \"{kind}\"")))?;
+    check(&v, shape).map_err(at)?;
+    Ok((v, tag))
+}
+
+const COSTS: Shape = Obj(&[("retired fetches switching_j internal_j leakage_j", NonNeg)]);
+
+/// The trace JSONL records, one shape per `"type"`.
+const TRACE_LINES: [Shape; 4] = [
+    Obj(&[("type", Lit("meta")), ("kernel scale icache scenario", Str)]),
+    Obj(&[("type", Lit("span")), ("path", Str), ("ms count", NonNeg)]),
+    Obj(&[
+        ("type", Lit("block")),
+        ("addr label func", Str),
+        ("arm fits", COSTS),
+    ]),
+    Obj(&[
+        ("type", Lit("summary")),
+        ("isa", Str),
+        ("cycles retired switching_j internal_j leakage_j", NonNeg),
+    ]),
+];
+
 /// Line counts of a validated trace export, by event type.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceCounts {
@@ -583,49 +841,6 @@ pub struct TraceCounts {
     pub summaries: usize,
 }
 
-fn str_field(ctx: &str, v: &Value, key: &str) -> Result<(), String> {
-    match v.get(key) {
-        Some(Value::Str(_)) => Ok(()),
-        _ => Err(format!("{ctx}: missing string field \"{key}\"")),
-    }
-}
-
-fn num_field(ctx: &str, v: &Value, key: &str) -> Result<(), String> {
-    match v.get(key) {
-        Some(Value::Num(n)) if *n >= 0.0 => Ok(()),
-        _ => Err(format!(
-            "{ctx}: missing non-negative number field \"{key}\""
-        )),
-    }
-}
-
-fn require_str(line: usize, v: &Value, key: &str) -> Result<(), String> {
-    str_field(&format!("line {line}"), v, key)
-}
-
-fn require_num(line: usize, v: &Value, key: &str) -> Result<(), String> {
-    num_field(&format!("line {line}"), v, key)
-}
-
-fn require_costs(line: usize, v: &Value, key: &str) -> Result<(), String> {
-    let side = v
-        .get(key)
-        .ok_or_else(|| format!("line {line}: missing object field \"{key}\""))?;
-    if !matches!(side, Value::Obj(_)) {
-        return Err(format!("line {line}: field \"{key}\" is not an object"));
-    }
-    for field in [
-        "retired",
-        "fetches",
-        "switching_j",
-        "internal_j",
-        "leakage_j",
-    ] {
-        require_num(line, side, field)?;
-    }
-    Ok(())
-}
-
 /// Validates a `fitstrace --json` export against the trace JSONL schema.
 ///
 /// # Errors
@@ -636,56 +851,22 @@ fn require_costs(line: usize, v: &Value, key: &str) -> Result<(), String> {
 pub fn validate_trace_jsonl(text: &str) -> Result<TraceCounts, String> {
     let mut counts = TraceCounts::default();
     for (i, raw) in text.lines().enumerate() {
-        let line = i + 1;
         if raw.trim().is_empty() {
             continue;
         }
-        let v = parse(raw).map_err(|e| format!("line {line}: {e}"))?;
-        let kind = v
-            .get("type")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("line {line}: missing string field \"type\""))?;
-        match kind {
-            "meta" => {
-                if counts.meta > 0 || counts.spans + counts.blocks + counts.summaries > 0 {
-                    return Err(format!(
-                        "line {line}: \"meta\" must be the single first line"
-                    ));
-                }
-                counts.meta += 1;
-                for key in ["kernel", "scale", "icache", "scenario"] {
-                    require_str(line, &v, key)?;
-                }
-            }
-            "span" => {
-                counts.spans += 1;
-                require_str(line, &v, "path")?;
-                require_num(line, &v, "ms")?;
-                require_num(line, &v, "count")?;
-            }
-            "block" => {
-                counts.blocks += 1;
-                for key in ["addr", "label", "func"] {
-                    require_str(line, &v, key)?;
-                }
-                require_costs(line, &v, "arm")?;
-                require_costs(line, &v, "fits")?;
-            }
-            "summary" => {
-                counts.summaries += 1;
-                require_str(line, &v, "isa")?;
-                for key in [
-                    "cycles",
-                    "retired",
-                    "switching_j",
-                    "internal_j",
-                    "leakage_j",
-                ] {
-                    require_num(line, &v, key)?;
-                }
-            }
-            other => return Err(format!("line {line}: unknown event type \"{other}\"")),
+        let (_, kind) = typed_line(&TRACE_LINES, raw, i + 1)?;
+        if kind == "meta" && counts != TraceCounts::default() {
+            return Err(format!(
+                "line {}: \"meta\" must be the single first line",
+                i + 1
+            ));
         }
+        *match kind {
+            "meta" => &mut counts.meta,
+            "span" => &mut counts.spans,
+            "block" => &mut counts.blocks,
+            _ => &mut counts.summaries,
+        } += 1;
     }
     if counts.meta != 1 {
         return Err("stream must start with exactly one \"meta\" line".to_string());
@@ -695,6 +876,41 @@ pub fn validate_trace_jsonl(text: &str) -> Result<TraceCounts, String> {
     }
     Ok(counts)
 }
+
+/// The seven per-ISA fields `isa_json` emits: a sweep scenario's and a
+/// fitsd body's `arm`/`fits` aggregates.
+pub const ISA_AGGREGATE: Shape = Obj(&[(
+    "cycles icache_j icache_switching_j icache_internal_j icache_leakage_j chip_j peak_w",
+    NonNeg,
+)]);
+
+/// The provenance stamp of an archived document.
+const STAMP: Shape = Obj(&[("commit host os arch", Str), ("timestamp_unix", NonNeg)]);
+
+/// A `powerfits-sweep-v1` archive (`fitssweep`).
+pub const SWEEP: Shape = Obj(&[
+    ("schema", Lit("powerfits-sweep-v1")),
+    ("meta", STAMP),
+    ("scale_n executions_per_kernel", NonNeg),
+    ("kernels", NonEmpty(&Str)),
+    (
+        "grid",
+        Obj(&[
+            ("icache_bytes", NonEmpty(&NonNeg)),
+            ("tech", NonEmpty(&Str)),
+        ]),
+    ),
+    (
+        "scenarios",
+        NonEmpty(&Obj(&[
+            ("id tech", Str),
+            ("icache_bytes", NonNeg),
+            ("arm fits", ISA_AGGREGATE),
+            // A configuration can lose: savings take any sign.
+            ("icache_saving chip_saving", Num),
+        ])),
+    ),
+]);
 
 /// Shape summary of a validated `SWEEP.json` document.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -709,36 +925,6 @@ pub struct SweepCounts {
     pub scenarios: usize,
 }
 
-fn require_nonempty_arr<'a>(v: &'a Value, key: &str) -> Result<&'a [Value], String> {
-    match v.get(key) {
-        Some(Value::Arr(items)) if !items.is_empty() => Ok(items),
-        _ => Err(format!("missing non-empty array field \"{key}\"")),
-    }
-}
-
-fn sweep_isa_ok(scenario: usize, v: &Value, key: &str) -> Result<(), String> {
-    let side = v
-        .get(key)
-        .ok_or_else(|| format!("scenario {scenario}: missing object field \"{key}\""))?;
-    if !matches!(side, Value::Obj(_)) {
-        return Err(format!(
-            "scenario {scenario}: field \"{key}\" is not an object"
-        ));
-    }
-    for field in [
-        "cycles",
-        "icache_j",
-        "icache_switching_j",
-        "icache_internal_j",
-        "icache_leakage_j",
-        "chip_j",
-        "peak_w",
-    ] {
-        num_field(&format!("scenario {scenario} \"{key}\""), side, field)?;
-    }
-    Ok(())
-}
-
 /// Validates a `fitssweep` archive against the `powerfits-sweep-v1`
 /// schema: provenance meta, non-empty kernel list and grid axes, and one
 /// well-formed scenario record per grid point (unique ids, per-ISA
@@ -750,41 +936,13 @@ fn sweep_isa_ok(scenario: usize, v: &Value, key: &str) -> Result<(), String> {
 /// ill-typed field, duplicate or miscounted scenarios).
 pub fn validate_sweep_json(text: &str) -> Result<SweepCounts, String> {
     let doc = parse(text).map_err(|e| e.to_string())?;
-    match doc.get("schema").and_then(Value::as_str) {
-        Some("powerfits-sweep-v1") => {}
-        other => {
-            return Err(format!(
-                "schema must be \"powerfits-sweep-v1\", got {other:?}"
-            ))
-        }
-    }
-    let meta = doc
-        .get("meta")
-        .ok_or_else(|| "missing object field \"meta\"".to_string())?;
-    for key in ["commit", "host", "os", "arch"] {
-        str_field("meta", meta, key)?;
-    }
-    num_field("meta", meta, "timestamp_unix")?;
-    num_field("document", &doc, "scale_n")?;
-    num_field("document", &doc, "executions_per_kernel")?;
-
-    let kernels = require_nonempty_arr(&doc, "kernels")?;
-    if kernels.iter().any(|k| k.as_str().is_none()) {
-        return Err("\"kernels\" must contain only strings".to_string());
-    }
-    let grid = doc
-        .get("grid")
-        .ok_or_else(|| "missing object field \"grid\"".to_string())?;
-    let sizes = require_nonempty_arr(grid, "icache_bytes").map_err(|e| format!("grid: {e}"))?;
+    check(&doc, &SWEEP)?;
+    let grid = doc.get("grid").unwrap_or(&Value::Null);
+    let (sizes, tech) = (items(grid, "icache_bytes"), items(grid, "tech"));
     if sizes.iter().any(|s| s.as_f64().is_none_or(|n| n <= 0.0)) {
         return Err("grid \"icache_bytes\" must contain positive numbers".to_string());
     }
-    let tech = require_nonempty_arr(grid, "tech").map_err(|e| format!("grid: {e}"))?;
-    if tech.iter().any(|t| t.as_str().is_none()) {
-        return Err("grid \"tech\" must contain only strings".to_string());
-    }
-
-    let scenarios = require_nonempty_arr(&doc, "scenarios")?;
+    let scenarios = items(&doc, "scenarios");
     if scenarios.len() != sizes.len() * tech.len() {
         return Err(format!(
             "scenario count {} must equal the grid product {} x {}",
@@ -793,37 +951,46 @@ pub fn validate_sweep_json(text: &str) -> Result<SweepCounts, String> {
             tech.len()
         ));
     }
-    let mut ids = Vec::with_capacity(scenarios.len());
-    for (i, s) in scenarios.iter().enumerate() {
-        let n = i + 1;
-        let id = s
-            .get("id")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("scenario {n}: missing string field \"id\""))?;
-        if ids.contains(&id) {
-            return Err(format!("scenario {n}: duplicate id \"{id}\""));
-        }
-        ids.push(id);
-        num_field(&format!("scenario {n}"), s, "icache_bytes")?;
-        str_field(&format!("scenario {n}"), s, "tech")?;
-        sweep_isa_ok(n, s, "arm")?;
-        sweep_isa_ok(n, s, "fits")?;
-        for key in ["icache_saving", "chip_saving"] {
-            // Savings may legitimately be negative (a configuration can
-            // lose); only presence and type are schema concerns.
-            match s.get(key) {
-                Some(Value::Num(_)) => {}
-                _ => return Err(format!("scenario {n}: missing number field \"{key}\"")),
-            }
-        }
-    }
+    unique_ids(scenarios, "scenario")?;
     Ok(SweepCounts {
-        kernels: kernels.len(),
+        kernels: items(&doc, "kernels").len(),
         icache_sizes: sizes.len(),
         tech_nodes: tech.len(),
         scenarios: scenarios.len(),
     })
 }
+
+const CACHE_STREAM: Shape = Obj(&[
+    (
+        "words",
+        Obj(&[(
+            "always_hit always_miss persistent unknown unreachable",
+            NonNeg,
+        )]),
+    ),
+    ("audit_findings blocks", NonNeg),
+    // Present only when the run was traced.
+    (
+        "bounds",
+        Opt(&Obj(&[
+            ("accesses misses miss_min miss_max", NonNeg),
+            ("energy_lo_j energy_hi_j", NonNeg),
+            ("violations", Arr(&Str)),
+        ])),
+    ),
+]);
+
+/// A `powerfits-cache-bounds-v1` report: the `fitslint --cache` archive,
+/// also embedded in fitsd's `/analyze` body.
+pub const CACHE_BOUNDS: Shape = Obj(&[
+    ("schema", Lit("powerfits-cache-bounds-v1")),
+    ("preset scale", Str),
+    (
+        "kernels",
+        NonEmpty(&Obj(&[("kernel", Str), ("arm fits", CACHE_STREAM)])),
+    ),
+    ("sound", Bool),
+]);
 
 /// Shape summary of a validated `powerfits-cache-bounds-v1` document.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -836,49 +1003,36 @@ pub struct CacheBoundsCounts {
     pub violations: usize,
 }
 
-fn cache_bounds_stream(kernel: &str, side: &str, v: &Value) -> Result<(usize, usize), String> {
-    let ctx = format!("kernel \"{kernel}\" {side}");
-    let stream = v
-        .get(side)
-        .ok_or_else(|| format!("{ctx}: missing object field \"{side}\""))?;
-    if !matches!(stream, Value::Obj(_)) {
-        return Err(format!("{ctx}: field \"{side}\" is not an object"));
-    }
-    let words = stream
-        .get("words")
-        .ok_or_else(|| format!("{ctx}: missing object field \"words\""))?;
-    for key in [
-        "always_hit",
-        "always_miss",
-        "persistent",
-        "unknown",
-        "unreachable",
-    ] {
-        num_field(&format!("{ctx} words"), words, key)?;
-    }
-    num_field(&ctx, stream, "audit_findings")?;
-    num_field(&ctx, stream, "blocks")?;
-    let Some(bounds) = stream.get("bounds") else {
-        return Ok((0, 0)); // static-only stream
+/// Checks a parsed cache-bounds report: the [`CACHE_BOUNDS`] shape, and a
+/// `sound` verdict that agrees with the recorded violation count.
+///
+/// # Errors
+///
+/// A description of the first violation.
+pub fn check_cache_bounds(doc: &Value) -> Result<CacheBoundsCounts, String> {
+    check(doc, &CACHE_BOUNDS)?;
+    let kernels = items(doc, "kernels");
+    let mut counts = CacheBoundsCounts {
+        kernels: kernels.len(),
+        ..CacheBoundsCounts::default()
     };
-    if !matches!(bounds, Value::Obj(_)) {
-        return Err(format!("{ctx}: field \"bounds\" is not an object"));
-    }
-    for key in ["accesses", "misses", "miss_min", "miss_max"] {
-        num_field(&format!("{ctx} bounds"), bounds, key)?;
-    }
-    for key in ["energy_lo_j", "energy_hi_j"] {
-        num_field(&format!("{ctx} bounds"), bounds, key)?;
-    }
-    let violations = match bounds.get("violations") {
-        Some(Value::Arr(items)) if items.iter().all(|i| i.as_str().is_some()) => items.len(),
-        _ => {
-            return Err(format!(
-                "{ctx}: bounds needs a \"violations\" array of strings"
-            ))
+    for k in kernels {
+        for bounds in ["arm", "fits"]
+            .iter()
+            .filter_map(|s| k.get(s)?.get("bounds"))
+        {
+            counts.traced_streams += 1;
+            counts.violations += items(bounds, "violations").len();
         }
-    };
-    Ok((1, violations))
+    }
+    let sound = doc.get("sound") == Some(&Value::Bool(true));
+    if sound != (counts.violations == 0) {
+        return Err(format!(
+            "\"sound\": {sound} contradicts {} recorded violation(s)",
+            counts.violations
+        ));
+    }
+    Ok(counts)
 }
 
 /// Validates a `fitslint --cache` report against the
@@ -893,47 +1047,40 @@ fn cache_bounds_stream(kernel: &str, side: &str, v: &Value) -> Result<(usize, us
 /// A description of the first violation (parse failure, missing or
 /// ill-typed field, or a `sound` flag contradicting the violations).
 pub fn validate_cache_bounds_json(text: &str) -> Result<CacheBoundsCounts, String> {
-    let doc = parse(text).map_err(|e| e.to_string())?;
-    match doc.get("schema").and_then(Value::as_str) {
-        Some("powerfits-cache-bounds-v1") => {}
-        other => {
-            return Err(format!(
-                "schema must be \"powerfits-cache-bounds-v1\", got {other:?}"
-            ))
-        }
-    }
-    for key in ["preset", "scale"] {
-        str_field("document", &doc, key)?;
-    }
-    let kernels = require_nonempty_arr(&doc, "kernels")?;
-    let mut counts = CacheBoundsCounts {
-        kernels: kernels.len(),
-        ..CacheBoundsCounts::default()
-    };
-    for k in kernels {
-        let name = k
-            .get("kernel")
-            .and_then(Value::as_str)
-            .ok_or_else(|| "kernel record: missing string field \"kernel\"".to_string())?;
-        for side in ["arm", "fits"] {
-            let (traced, violations) = cache_bounds_stream(name, side, k)?;
-            counts.traced_streams += traced;
-            counts.violations += violations;
-        }
-    }
-    match doc.get("sound") {
-        Some(Value::Bool(sound)) => {
-            if *sound != (counts.violations == 0) {
-                return Err(format!(
-                    "\"sound\": {sound} contradicts {} recorded violation(s)",
-                    counts.violations
-                ));
-            }
-        }
-        _ => return Err("missing boolean field \"sound\"".to_string()),
-    }
-    Ok(counts)
+    check_cache_bounds(&parse(text).map_err(|e| e.to_string())?)
 }
+
+/// A `powerfits-pareto-v1` archive (`fitspareto`).
+pub const PARETO: Shape = Obj(&[
+    ("schema", Lit("powerfits-pareto-v1")),
+    // The stamp plus two hashes.
+    ("meta", STAMP),
+    ("meta", Obj(&[("isa merged_profile", Str)])),
+    ("scale_n solo_code_bytes solo_icache_j", NonNeg),
+    ("epsilon", Num),
+    ("kernels", NonEmpty(&Str)),
+    (
+        "points",
+        NonEmpty(&Obj(&[
+            ("id", Str),
+            ("space_budget max_dict_bits code_bytes icache_j", NonNeg),
+            ("decoder_slots config_bits iterations", NonNeg),
+            (
+                "members",
+                NonEmpty(&Obj(&[
+                    ("kernel", Str),
+                    ("solo_code_bytes shared_code_bytes", NonNeg),
+                    ("solo_icache_j shared_icache_j", NonNeg),
+                    ("solo_cycles shared_cycles", NonNeg),
+                    // A shared ISA can beat a per-app one: any sign.
+                    ("regression", Num),
+                ])),
+            ),
+        ])),
+    ),
+    ("frontier", NonEmpty(&Num)),
+    ("rejected", Arr(&Obj(&[("id reason", Str)]))),
+]);
 
 /// Shape summary of a validated `PARETO.json` document.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -962,135 +1109,71 @@ pub struct ParetoCounts {
 /// ill-typed field, empty or wrong frontier).
 pub fn validate_pareto_json(text: &str) -> Result<ParetoCounts, String> {
     let doc = parse(text).map_err(|e| e.to_string())?;
-    match doc.get("schema").and_then(Value::as_str) {
-        Some("powerfits-pareto-v1") => {}
-        other => {
-            return Err(format!(
-                "schema must be \"powerfits-pareto-v1\", got {other:?}"
-            ))
-        }
-    }
-    let meta = doc
-        .get("meta")
-        .ok_or_else(|| "missing object field \"meta\"".to_string())?;
-    for key in ["commit", "host", "os", "arch", "isa", "merged_profile"] {
-        str_field("meta", meta, key)?;
-    }
-    num_field("meta", meta, "timestamp_unix")?;
-    num_field("document", &doc, "scale_n")?;
-    match doc.get("epsilon") {
-        Some(Value::Num(_)) => {}
-        _ => return Err("missing number field \"epsilon\"".to_string()),
-    }
-    num_field("document", &doc, "solo_code_bytes")?;
-    num_field("document", &doc, "solo_icache_j")?;
-
-    let kernels = require_nonempty_arr(&doc, "kernels")?;
-    if kernels.iter().any(|k| k.as_str().is_none()) {
-        return Err("\"kernels\" must contain only strings".to_string());
-    }
-
-    let points = require_nonempty_arr(&doc, "points")?;
-    let mut ids = Vec::with_capacity(points.len());
+    check(&doc, &PARETO)?;
+    let kernels = items(&doc, "kernels").len();
+    let points = items(&doc, "points");
+    unique_ids(points, "point")?;
     let mut axes = Vec::with_capacity(points.len());
     for (i, p) in points.iter().enumerate() {
-        let n = i + 1;
-        let id = p
-            .get("id")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("point {n}: missing string field \"id\""))?;
-        if ids.contains(&id) {
-            return Err(format!("point {n}: duplicate id \"{id}\""));
-        }
-        ids.push(id);
-        for key in [
-            "space_budget",
-            "max_dict_bits",
-            "code_bytes",
-            "icache_j",
-            "decoder_slots",
-            "config_bits",
-            "iterations",
-        ] {
-            num_field(&format!("point {n}"), p, key)?;
-        }
-        let members = require_nonempty_arr(p, "members").map_err(|e| format!("point {n}: {e}"))?;
-        if members.len() != kernels.len() {
+        let members = items(p, "members").len();
+        if members != kernels {
             return Err(format!(
-                "point {n}: {} member records for {} kernels",
-                members.len(),
-                kernels.len()
+                "point {}: {members} member records for {kernels} kernels",
+                i + 1
             ));
-        }
-        for (j, m) in members.iter().enumerate() {
-            let ctx = format!("point {n} member {}", j + 1);
-            str_field(&ctx, m, "kernel")?;
-            for key in [
-                "solo_code_bytes",
-                "shared_code_bytes",
-                "solo_icache_j",
-                "shared_icache_j",
-                "solo_cycles",
-                "shared_cycles",
-            ] {
-                num_field(&ctx, m, key)?;
-            }
-            // The regression may legitimately be negative (a shared ISA
-            // can beat a per-app one on a member): type-check only.
-            match m.get("regression") {
-                Some(Value::Num(_)) => {}
-                _ => return Err(format!("{ctx}: missing number field \"regression\"")),
-            }
         }
         let axis = |key: &str| p.get(key).and_then(Value::as_f64).unwrap_or(f64::NAN);
         axes.push([axis("code_bytes"), axis("icache_j"), axis("decoder_slots")]);
     }
 
-    let frontier = require_nonempty_arr(&doc, "frontier")
-        .map_err(|_| "\"frontier\" must be a non-empty array".to_string())?;
-    let mut frontier_set = Vec::with_capacity(frontier.len());
-    for f in frontier {
+    let mut frontier = Vec::new();
+    for f in items(&doc, "frontier") {
         let idx = f
             .as_f64()
             .filter(|v| v.fract() == 0.0 && *v >= 0.0 && (*v as usize) < points.len())
             .ok_or_else(|| format!("frontier entry {f:?} is not a valid point index"))?
             as usize;
-        if frontier_set.contains(&idx) {
+        if frontier.contains(&idx) {
             return Err(format!("frontier index {idx} listed twice"));
         }
-        frontier_set.push(idx);
+        frontier.push(idx);
     }
     // Recompute the non-dominated set and demand exact agreement.
     let dominates =
         |a: &[f64; 3], b: &[f64; 3]| (0..3).all(|k| a[k] <= b[k]) && (0..3).any(|k| a[k] < b[k]);
     for (i, b) in axes.iter().enumerate() {
         let dominated = axes.iter().any(|a| dominates(a, b));
-        if dominated && frontier_set.contains(&i) {
+        if dominated && frontier.contains(&i) {
             return Err(format!("frontier point {i} is dominated"));
         }
-        if !dominated && !frontier_set.contains(&i) {
+        if !dominated && !frontier.contains(&i) {
             return Err(format!("non-dominated point {i} missing from the frontier"));
         }
     }
 
-    let rejected = match doc.get("rejected") {
-        Some(Value::Arr(items)) => {
-            for (i, r) in items.iter().enumerate() {
-                let ctx = format!("rejected {}", i + 1);
-                str_field(&ctx, r, "id")?;
-                str_field(&ctx, r, "reason")?;
-            }
-            items.len()
-        }
-        _ => return Err("missing array field \"rejected\"".to_string()),
-    };
-
     Ok(ParetoCounts {
-        kernels: kernels.len(),
+        kernels,
         points: points.len(),
-        frontier: frontier_set.len(),
-        rejected,
+        frontier: frontier.len(),
+        rejected: items(&doc, "rejected").len(),
     })
+}
+
+/// Every single-member corruption of a JSONL stream: each line in turn is
+/// replaced by the [`mutants`] of the shape `shape_of(index, record)`.
+#[cfg(test)]
+pub(crate) fn jsonl_mutants(text: &str, shape_of: impl Fn(usize, &Value) -> Shape) -> Vec<String> {
+    let lines: Vec<&str> = text.lines().collect();
+    let mut out = Vec::new();
+    for (i, line) in lines.iter().enumerate() {
+        let record = parse(line).expect("a valid record");
+        for mutant in mutants(&record, &shape_of(i, &record)) {
+            let mut copy: Vec<&str> = lines.clone();
+            copy[i] = &mutant;
+            out.push(copy.join("\n"));
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -1225,5 +1308,62 @@ mod tests {
         // Missing word-class field.
         let chopped = cache_bounds_doc(true, "[]").replace(r#""unknown":0,"#, "");
         assert!(validate_cache_bounds_json(&chopped).is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_an_error_not_a_stack_overflow() {
+        assert!(parse(&"[".repeat(100_000)).is_err());
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&objects).is_err());
+    }
+
+    #[test]
+    fn a_megabyte_string_round_trips() {
+        let original: String = "ascii, \u{e9}, \u{20ac}, \u{1F600}, \"quoted\", back\\slash\n\t"
+            .chars()
+            .cycle()
+            .take(1 << 20)
+            .collect();
+        let quoted = format!("\"{}\"", escape(&original));
+        assert_eq!(parse(&quoted).unwrap(), Value::Str(original));
+    }
+
+    #[test]
+    fn every_trace_mutant_is_rejected() {
+        let text = sample_lines().join("\n");
+        let all = jsonl_mutants(&text, |_, record| {
+            let kind = record.get("type").and_then(Value::as_str);
+            *TRACE_LINES
+                .iter()
+                .find(|s| s.tag("type") == kind)
+                .expect("a trace record type")
+        });
+        assert!(all.len() > 40, "{} mutants", all.len());
+        for mutant in &all {
+            assert!(validate_trace_jsonl(mutant).is_err(), "accepted {mutant}");
+        }
+    }
+
+    #[test]
+    fn every_cache_bounds_mutant_is_rejected() {
+        let honest = cache_bounds_doc(false, r#"["set 0: out of bounds"]"#);
+        for doc in [cache_bounds_doc(true, "[]"), honest] {
+            let all = mutants(&parse(&doc).unwrap(), &CACHE_BOUNDS);
+            assert!(all.len() > 40, "{} mutants", all.len());
+            for mutant in &all {
+                assert!(
+                    validate_cache_bounds_json(mutant).is_err(),
+                    "accepted {mutant}"
+                );
+            }
+        }
     }
 }

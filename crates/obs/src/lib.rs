@@ -27,9 +27,14 @@
 //!   source kernel function) of the *native* program, with the FITS run
 //!   mapped back onto the same blocks through the translator's expansion
 //!   table — ARM vs. FITS, side by side.
-//! * [`json`] — a dependency-free JSON scanner used to validate the JSONL
-//!   trace export of the `fitstrace` CLI (in `fits-bench`) and the request
-//!   bodies of the `fitsd` daemon (in `fits-serve`).
+//! * [`json`] — a dependency-free JSON parser (depth-capped, linear in
+//!   string length: it parses the request bodies of the `fitsd` daemon in
+//!   `fits-serve`), the one escaper, and [`json::check`]: one walker over
+//!   declarative [`json::Shape`] tables. Every document validator in the
+//!   workspace — trace JSONL, `SWEEP`/`PARETO`/`CACHE_BOUNDS` archives,
+//!   the access log, fitsd bodies and flight dumps — is a shape table
+//!   plus its cross-field rules, and [`json::mutants`] derives the
+//!   corrupted documents their tests must reject.
 //! * [`metrics`] — lock-free service counters and a log-bucketed latency
 //!   histogram (p50/p99), the `/metrics` substrate of `fitsd`.
 //! * [`event`] — the structured JSONL access/event log: a bounded channel

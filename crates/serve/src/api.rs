@@ -20,7 +20,10 @@ use fits_bench::{
 use fits_core::{synthesize_multi, MultiError, MultiMember, MultiOptions, SynthOptions};
 use fits_isa::spec::{builtin_ar32, IsaSpec, SpecCatalog};
 use fits_kernels::kernels::{Kernel, Scale};
-use fits_obs::json::{escape, parse, Value};
+use fits_obs::json::Shape::{self, Arr, Bool, Lit, NonEmpty, Num, Obj, Str};
+use fits_obs::json::{
+    check, check_cache_bounds, escape, parse, Value, CACHE_BOUNDS, ISA_AGGREGATE,
+};
 use fits_scenario::{tech_preset, ScenarioMatrix, ScenarioSpec, PRESET_NAMES, TECH_NAMES};
 
 /// The response schema identifier every body carries.
@@ -177,6 +180,45 @@ fn kernel_field(v: &Value, pointer: &str) -> Result<Kernel, ApiError> {
             format!("unknown kernel {name:?}"),
         )
     })
+}
+
+/// Parses the `"kernels"` name list; `absent` is what a request without
+/// one gets. Wrong types, unknown names and duplicates are rejected at
+/// `/kernels/{i}`, an empty list at `/kernels`.
+fn kernels_field(
+    v: &Value,
+    absent: Result<Vec<Kernel>, ApiError>,
+) -> Result<Vec<Kernel>, ApiError> {
+    let items = match v.get("kernels") {
+        None => return absent,
+        Some(Value::Arr(items)) if items.is_empty() => {
+            return Err(ApiError::new(
+                "bad_value",
+                "/kernels",
+                "kernel list must not be empty",
+            ))
+        }
+        Some(Value::Arr(items)) => items,
+        Some(_) => return Err(ApiError::new("bad_type", "/kernels", "expected an array")),
+    };
+    let mut kernels = Vec::with_capacity(items.len());
+    for (i, item) in items.iter().enumerate() {
+        let at = || format!("/kernels/{i}");
+        let name = item
+            .as_str()
+            .ok_or_else(|| ApiError::new("bad_type", &at(), "expected a string"))?;
+        let k = Kernel::from_name(name)
+            .ok_or_else(|| ApiError::new("bad_value", &at(), format!("unknown kernel {name:?}")))?;
+        if kernels.contains(&k) {
+            return Err(ApiError::new(
+                "bad_value",
+                &at(),
+                format!("duplicate kernel {name:?}"),
+            ));
+        }
+        kernels.push(k);
+    }
+    Ok(kernels)
 }
 
 fn scale_field(v: &Value, pointer: &str) -> Result<Scale, ApiError> {
@@ -523,41 +565,7 @@ impl SweepRequest {
         )?;
         let scale = scale_field(&v, "")?;
 
-        let kernels = match v.get("kernels") {
-            None => Kernel::ALL.to_vec(),
-            Some(Value::Arr(items)) => {
-                let mut kernels = Vec::with_capacity(items.len());
-                for (i, item) in items.iter().enumerate() {
-                    let name = item.as_str().ok_or_else(|| {
-                        ApiError::new("bad_type", &format!("/kernels/{i}"), "expected a string")
-                    })?;
-                    let k = Kernel::from_name(name).ok_or_else(|| {
-                        ApiError::new(
-                            "bad_value",
-                            &format!("/kernels/{i}"),
-                            format!("unknown kernel {name:?}"),
-                        )
-                    })?;
-                    if kernels.contains(&k) {
-                        return Err(ApiError::new(
-                            "bad_value",
-                            &format!("/kernels/{i}"),
-                            format!("duplicate kernel {name:?}"),
-                        ));
-                    }
-                    kernels.push(k);
-                }
-                if kernels.is_empty() {
-                    return Err(ApiError::new(
-                        "bad_value",
-                        "/kernels",
-                        "kernel list must not be empty",
-                    ));
-                }
-                kernels
-            }
-            Some(_) => return Err(ApiError::new("bad_type", "/kernels", "expected an array")),
-        };
+        let kernels = kernels_field(&v, Ok(Kernel::ALL.to_vec()))?;
 
         let preset = opt_str(&v, "", "scenario")?.unwrap_or("sa1100").to_string();
         let base = ScenarioSpec::preset(&preset).ok_or_else(|| {
@@ -734,47 +742,14 @@ impl SynthesizeMultiRequest {
             "",
             &["kernels", "weights", "scale", "epsilon", "synth", "isa"],
         )?;
-        let raw_kernels = match v.get("kernels") {
-            Some(Value::Arr(items)) if !items.is_empty() => {
-                let mut kernels = Vec::with_capacity(items.len());
-                for (i, item) in items.iter().enumerate() {
-                    let name = item.as_str().ok_or_else(|| {
-                        ApiError::new("bad_type", &format!("/kernels/{i}"), "expected a string")
-                    })?;
-                    let k = Kernel::from_name(name).ok_or_else(|| {
-                        ApiError::new(
-                            "bad_value",
-                            &format!("/kernels/{i}"),
-                            format!("unknown kernel {name:?}"),
-                        )
-                    })?;
-                    if kernels.contains(&k) {
-                        return Err(ApiError::new(
-                            "bad_value",
-                            &format!("/kernels/{i}"),
-                            format!("duplicate kernel {name:?}"),
-                        ));
-                    }
-                    kernels.push(k);
-                }
-                kernels
-            }
-            Some(Value::Arr(_)) => {
-                return Err(ApiError::new(
-                    "bad_value",
-                    "/kernels",
-                    "kernel list must not be empty",
-                ))
-            }
-            Some(_) => return Err(ApiError::new("bad_type", "/kernels", "expected an array")),
-            None => {
-                return Err(ApiError::new(
-                    "missing_field",
-                    "/kernels",
-                    "a kernel list is required",
-                ))
-            }
-        };
+        let raw_kernels = kernels_field(
+            &v,
+            Err(ApiError::new(
+                "missing_field",
+                "/kernels",
+                "a kernel list is required",
+            )),
+        )?;
         let raw_weights: Vec<f64> = match v.get("weights") {
             None => vec![1.0; raw_kernels.len()],
             Some(Value::Arr(items)) => {
@@ -1201,37 +1176,102 @@ pub fn internal_error_body(err: &ExperimentError) -> String {
 
 // ---------------------------------------------------------------- validation
 
-fn need_str(ctx: &str, v: &Value, key: &str) -> Result<(), String> {
-    match v.get(key) {
-        Some(Value::Str(_)) => Ok(()),
-        _ => Err(format!("{ctx}: missing string field \"{key}\"")),
-    }
-}
+const GAUGE: Shape = Obj(&[("last min max mean samples", Num)]);
 
-fn need_num(ctx: &str, v: &Value, key: &str) -> Result<(), String> {
-    match v.get(key) {
-        Some(Value::Num(_)) => Ok(()),
-        _ => Err(format!("{ctx}: missing number field \"{key}\"")),
-    }
-}
+/// What every `powerfits-serve-v1` body carries.
+const HEADER: Shape = Obj(&[("schema", Lit(SCHEMA)), ("endpoint", Str)]);
 
-fn need_isa(ctx: &str, v: &Value, key: &str) -> Result<(), String> {
-    let side = v
-        .get(key)
-        .ok_or_else(|| format!("{ctx}: missing object field \"{key}\""))?;
-    for field in [
-        "cycles",
-        "icache_j",
-        "icache_switching_j",
-        "icache_internal_j",
-        "icache_leakage_j",
-        "chip_j",
-        "peak_w",
-    ] {
-        need_num(&format!("{ctx} \"{key}\""), side, field)?;
-    }
-    Ok(())
-}
+/// The rest of each body, one shape per `"endpoint"` tag.
+const ENDPOINTS: [Shape; 8] = [
+    Obj(&[
+        ("endpoint", Lit("healthz")),
+        ("status", Lit("ok")),
+        ("kernels schema_version uptime_s", Num),
+        ("commit", Str),
+    ]),
+    Obj(&[
+        ("endpoint", Lit("metrics")),
+        ("requests ok client_errors server_errors", Num),
+        ("rejected cache_hits coalesced_joins executions", Num),
+        ("cache_entries queue_depth queue_capacity", Num),
+        ("workers uptime_s", Num),
+        ("latency_us", Obj(&[("count mean p50 p99 max", Num)])),
+        ("log", Obj(&[("emitted dropped", Num)])),
+        (
+            "window",
+            Arr(&Obj(&[
+                ("endpoint class", Str),
+                ("count rate_per_sec mean p50 p99 max", Num),
+            ])),
+        ),
+        ("gauges", Obj(&[("queue_depth cache_entries", GAUGE)])),
+        ("spans", Arr(&Obj(&[("path", Str), ("ms count", Num)]))),
+    ]),
+    Obj(&[
+        ("endpoint", Lit("synthesize")),
+        ("kernel", Str),
+        ("scale_n arm_code_bytes thumb_code_bytes", Num),
+        ("fits_code_bytes code_ratio mapping_static", Num),
+        ("mapping_dynamic config_bits iterations", Num),
+    ]),
+    Obj(&[
+        ("endpoint", Lit("simulate")),
+        ("kernel scenario tech", Str),
+        ("scale_n icache_bytes icache_saving chip_saving", Num),
+        ("arm fits", ISA_AGGREGATE),
+    ]),
+    Obj(&[
+        ("endpoint", Lit("sweep")),
+        ("scale_n executions_per_kernel", Num),
+        (
+            "scenarios",
+            NonEmpty(&Obj(&[("id", Str), ("arm fits", ISA_AGGREGATE)])),
+        ),
+    ]),
+    Obj(&[
+        ("endpoint", Lit("analyze")),
+        ("kernel scenario", Str),
+        ("scale_n", Num),
+        ("sound traced", Bool),
+        ("report", CACHE_BOUNDS),
+    ]),
+    Obj(&[
+        ("endpoint", Lit("synthesize-multi")),
+        ("kernels", NonEmpty(&Str)),
+        ("weights", NonEmpty(&Num)),
+        ("scale_n epsilon", Num),
+        ("accepted", Bool),
+    ]),
+    Obj(&[
+        ("endpoint", Lit("error")),
+        ("error", Obj(&[("code pointer message", Str)])),
+    ]),
+];
+
+/// The two `/synthesize-multi` variants, on top of its `ENDPOINTS` row.
+const MULTI_ACCEPTED: Shape = Obj(&[
+    ("merged_profile", Str),
+    (
+        "shared",
+        Obj(&[("code_bytes config_bits decoder_slots iterations", Num)]),
+    ),
+    (
+        "members",
+        NonEmpty(&Obj(&[
+            ("kernel", Str),
+            ("solo_code_bytes shared_code_bytes regression", Num),
+            ("solo shared", ISA_AGGREGATE),
+        ])),
+    ),
+]);
+
+const MULTI_REJECTED: Shape = Obj(&[(
+    "rejected",
+    Obj(&[
+        ("member", Str),
+        ("solo_expansion shared_expansion epsilon", Num),
+    ]),
+)]);
 
 /// Validates any `fitsd` response body against the `powerfits-serve-v1`
 /// schema and returns the endpoint it claims to be. `fitsctl` runs this
@@ -1243,243 +1283,53 @@ fn need_isa(ctx: &str, v: &Value, key: &str) -> Result<(), String> {
 /// A description of the first violation.
 pub fn validate_serve_json(text: &str) -> Result<String, String> {
     let v = parse(text).map_err(|e| e.to_string())?;
-    match v.get("schema").and_then(Value::as_str) {
-        Some(SCHEMA) => {}
-        other => return Err(format!("schema must be \"{SCHEMA}\", got {other:?}")),
-    }
+    check(&v, &HEADER)?;
     let endpoint = v
         .get("endpoint")
         .and_then(Value::as_str)
-        .ok_or_else(|| "missing string field \"endpoint\"".to_string())?
-        .to_string();
-    match endpoint.as_str() {
-        "healthz" => {
-            need_str("healthz", &v, "status")?;
-            if v.get("status").and_then(Value::as_str) != Some("ok") {
-                return Err("healthz status is not \"ok\"".to_string());
-            }
-            need_num("healthz", &v, "kernels")?;
-            need_num("healthz", &v, "schema_version")?;
-            need_num("healthz", &v, "uptime_s")?;
-            need_str("healthz", &v, "commit")?;
-        }
-        "metrics" => {
-            for key in [
-                "requests",
-                "ok",
-                "client_errors",
-                "server_errors",
-                "rejected",
-                "cache_hits",
-                "coalesced_joins",
-                "executions",
-                "cache_entries",
-                "queue_depth",
-                "queue_capacity",
-                "workers",
-            ] {
-                need_num("metrics", &v, key)?;
-            }
-            need_num("metrics", &v, "uptime_s")?;
-            let lat = v
-                .get("latency_us")
-                .ok_or_else(|| "metrics: missing object field \"latency_us\"".to_string())?;
-            for key in ["count", "mean", "p50", "p99", "max"] {
-                need_num("metrics latency_us", lat, key)?;
-            }
-            let log = v
-                .get("log")
-                .ok_or_else(|| "metrics: missing object field \"log\"".to_string())?;
-            need_num("metrics log", log, "emitted")?;
-            need_num("metrics log", log, "dropped")?;
-            match v.get("window") {
-                Some(Value::Arr(cells)) => {
-                    for (i, cell) in cells.iter().enumerate() {
-                        let ctx = format!("metrics window {i}");
-                        need_str(&ctx, cell, "endpoint")?;
-                        need_str(&ctx, cell, "class")?;
-                        for key in ["count", "rate_per_sec", "mean", "p50", "p99", "max"] {
-                            need_num(&ctx, cell, key)?;
-                        }
-                    }
-                }
-                _ => return Err("metrics: missing array field \"window\"".to_string()),
-            }
-            let gauges = v
-                .get("gauges")
-                .ok_or_else(|| "metrics: missing object field \"gauges\"".to_string())?;
-            for name in ["queue_depth", "cache_entries"] {
-                let g = gauges
-                    .get(name)
-                    .ok_or_else(|| format!("metrics gauges: missing object \"{name}\""))?;
-                for key in ["last", "min", "max", "mean", "samples"] {
-                    need_num(&format!("metrics gauge {name}"), g, key)?;
-                }
-            }
-            match v.get("spans") {
-                Some(Value::Arr(spans)) => {
-                    for (i, span) in spans.iter().enumerate() {
-                        let ctx = format!("metrics span {i}");
-                        need_str(&ctx, span, "path")?;
-                        need_num(&ctx, span, "ms")?;
-                        need_num(&ctx, span, "count")?;
-                    }
-                }
-                _ => return Err("metrics: missing array field \"spans\"".to_string()),
-            }
-        }
-        "synthesize" => {
-            need_str("synthesize", &v, "kernel")?;
-            for key in [
-                "scale_n",
-                "arm_code_bytes",
-                "thumb_code_bytes",
-                "fits_code_bytes",
-                "code_ratio",
-                "mapping_static",
-                "mapping_dynamic",
-                "config_bits",
-                "iterations",
-            ] {
-                need_num("synthesize", &v, key)?;
-            }
-        }
-        "simulate" => {
-            need_str("simulate", &v, "kernel")?;
-            need_str("simulate", &v, "scenario")?;
-            need_str("simulate", &v, "tech")?;
-            for key in ["scale_n", "icache_bytes", "icache_saving", "chip_saving"] {
-                need_num("simulate", &v, key)?;
-            }
-            need_isa("simulate", &v, "arm")?;
-            need_isa("simulate", &v, "fits")?;
-        }
-        "sweep" => {
-            need_num("sweep", &v, "scale_n")?;
-            need_num("sweep", &v, "executions_per_kernel")?;
-            let scenarios = match v.get("scenarios") {
-                Some(Value::Arr(items)) if !items.is_empty() => items,
-                _ => return Err("sweep: missing non-empty array \"scenarios\"".to_string()),
-            };
-            for (i, s) in scenarios.iter().enumerate() {
-                let ctx = format!("sweep scenario {i}");
-                need_str(&ctx, s, "id")?;
-                need_isa(&ctx, s, "arm")?;
-                need_isa(&ctx, s, "fits")?;
-            }
-        }
+        .unwrap_or_default();
+    let shape = ENDPOINTS
+        .iter()
+        .find(|s| s.tag("endpoint") == Some(endpoint))
+        .ok_or_else(|| format!("unknown endpoint \"{endpoint}\""))?;
+    check(&v, shape).map_err(|e| format!("{endpoint}: {e}"))?;
+    match endpoint {
         "synthesize-multi" => {
-            for key in ["kernels", "weights"] {
-                match v.get(key) {
-                    Some(Value::Arr(items)) if !items.is_empty() => {}
-                    _ => {
-                        return Err(format!(
-                            "synthesize-multi: missing non-empty array \"{key}\""
-                        ))
-                    }
-                }
-            }
-            need_num("synthesize-multi", &v, "scale_n")?;
-            if !matches!(v.get("epsilon"), Some(Value::Num(_))) {
-                return Err("synthesize-multi: missing number field \"epsilon\"".to_string());
-            }
-            match v.get("accepted") {
-                Some(Value::Bool(true)) => {
-                    need_str("synthesize-multi", &v, "merged_profile")?;
-                    let shared = v.get("shared").ok_or_else(|| {
-                        "synthesize-multi: missing object field \"shared\"".to_string()
-                    })?;
-                    for key in ["code_bytes", "config_bits", "decoder_slots", "iterations"] {
-                        need_num("synthesize-multi shared", shared, key)?;
-                    }
-                    let members = match v.get("members") {
-                        Some(Value::Arr(items)) if !items.is_empty() => items,
-                        _ => {
-                            return Err(
-                                "synthesize-multi: missing non-empty array \"members\"".to_string()
-                            )
-                        }
-                    };
-                    for (i, m) in members.iter().enumerate() {
-                        let ctx = format!("synthesize-multi member {i}");
-                        need_str(&ctx, m, "kernel")?;
-                        for key in ["solo_code_bytes", "shared_code_bytes", "regression"] {
-                            need_num(&ctx, m, key)?;
-                        }
-                        need_isa(&ctx, m, "solo")?;
-                        need_isa(&ctx, m, "shared")?;
-                    }
-                }
-                Some(Value::Bool(false)) => {
-                    let rejected = v.get("rejected").ok_or_else(|| {
-                        "synthesize-multi: missing object field \"rejected\"".to_string()
-                    })?;
-                    need_str("synthesize-multi rejected", rejected, "member")?;
-                    for key in ["solo_expansion", "shared_expansion", "epsilon"] {
-                        if !matches!(rejected.get(key), Some(Value::Num(_))) {
-                            return Err(format!(
-                                "synthesize-multi rejected: missing number field \"{key}\""
-                            ));
-                        }
-                    }
-                }
-                _ => return Err("synthesize-multi: missing boolean field \"accepted\"".to_string()),
-            }
+            let accepted = v.get("accepted") == Some(&Value::Bool(true));
+            let variant = if accepted {
+                &MULTI_ACCEPTED
+            } else {
+                &MULTI_REJECTED
+            };
+            check(&v, variant).map_err(|e| format!("{endpoint}: {e}"))?;
         }
         "analyze" => {
-            need_str("analyze", &v, "kernel")?;
-            need_str("analyze", &v, "scenario")?;
-            need_num("analyze", &v, "scale_n")?;
-            let sound = match v.get("sound") {
-                Some(Value::Bool(b)) => *b,
-                _ => return Err("analyze: missing boolean field \"sound\"".to_string()),
-            };
-            if !matches!(v.get("traced"), Some(Value::Bool(_))) {
-                return Err("analyze: missing boolean field \"traced\"".to_string());
-            }
-            let report = v
-                .get("report")
-                .ok_or_else(|| "analyze: missing object field \"report\"".to_string())?;
-            if report.get("schema").and_then(Value::as_str) != Some("powerfits-cache-bounds-v1") {
-                return Err(
-                    "analyze: embedded report schema is not \"powerfits-cache-bounds-v1\""
-                        .to_string(),
-                );
-            }
-            match report.get("kernels") {
-                Some(Value::Arr(items)) if !items.is_empty() => {
-                    for (i, k) in items.iter().enumerate() {
-                        let ctx = format!("analyze report kernel {i}");
-                        need_str(&ctx, k, "kernel")?;
-                        for side in ["arm", "fits"] {
-                            let stream = k
-                                .get(side)
-                                .ok_or_else(|| format!("{ctx}: missing object field \"{side}\""))?;
-                            need_num(&format!("{ctx} \"{side}\""), stream, "audit_findings")?;
-                        }
-                    }
-                }
-                _ => return Err("analyze: embedded report has no kernels".to_string()),
-            }
-            match report.get("sound") {
-                Some(Value::Bool(b)) if *b == sound => {}
-                _ => {
-                    return Err("analyze: \"sound\" disagrees with the embedded report".to_string())
-                }
+            let report = v.get("report").unwrap_or(&Value::Null);
+            let counts = check_cache_bounds(report).map_err(|e| format!("analyze report: {e}"))?;
+            if v.get("sound") != Some(&Value::Bool(counts.violations == 0)) {
+                return Err("analyze: \"sound\" disagrees with the embedded report".to_string());
             }
         }
-        "error" => {
-            let err = v
-                .get("error")
-                .ok_or_else(|| "error: missing object field \"error\"".to_string())?;
-            need_str("error", err, "code")?;
-            need_str("error", err, "pointer")?;
-            need_str("error", err, "message")?;
-        }
-        other => return Err(format!("unknown endpoint \"{other}\"")),
+        _ => {}
     }
-    Ok(endpoint)
+    Ok(endpoint.to_string())
 }
+
+/// One span-tree node of a flight dump; children nest to any depth.
+static FLIGHT_SPAN: Shape = Obj(&[
+    ("name", Str),
+    ("us count", Num),
+    ("children", Arr(&FLIGHT_SPAN)),
+]);
+
+const FLIGHT_SUMMARY: Shape = Obj(&[("seq status us", Num), ("trace method endpoint cache", Str)]);
+
+const FLIGHT: Shape = Obj(&[
+    ("schema", Lit("powerfits-flight-v1")),
+    ("total", Num),
+    ("recent slowest", Arr(&FLIGHT_SUMMARY)),
+    ("slowest", Arr(&Obj(&[("spans", Arr(&FLIGHT_SPAN))]))),
+]);
 
 /// Validates a `GET /debug/flight` dump against `powerfits-flight-v1` and
 /// returns the number of slowest-request exemplars it carries. Span trees
@@ -1489,64 +1339,12 @@ pub fn validate_serve_json(text: &str) -> Result<String, String> {
 ///
 /// A description of the first violation.
 pub fn validate_flight_json(text: &str) -> Result<usize, String> {
-    fn check_span(ctx: &str, span: &Value) -> Result<(), String> {
-        need_str(ctx, span, "name")?;
-        need_num(ctx, span, "us")?;
-        need_num(ctx, span, "count")?;
-        match span.get("children") {
-            Some(Value::Arr(children)) => {
-                for child in children {
-                    check_span(ctx, child)?;
-                }
-                Ok(())
-            }
-            _ => Err(format!("{ctx}: missing array field \"children\"")),
-        }
-    }
-    fn check_summary(ctx: &str, s: &Value) -> Result<(), String> {
-        for key in ["seq", "status", "us"] {
-            need_num(ctx, s, key)?;
-        }
-        for key in ["trace", "method", "endpoint", "cache"] {
-            need_str(ctx, s, key)?;
-        }
-        Ok(())
-    }
     let v = parse(text).map_err(|e| e.to_string())?;
-    match v.get("schema").and_then(Value::as_str) {
-        Some("powerfits-flight-v1") => {}
-        other => {
-            return Err(format!(
-                "flight schema must be \"powerfits-flight-v1\", got {other:?}"
-            ))
-        }
-    }
-    need_num("flight", &v, "total")?;
-    match v.get("recent") {
-        Some(Value::Arr(items)) => {
-            for (i, s) in items.iter().enumerate() {
-                check_summary(&format!("flight recent {i}"), s)?;
-            }
-        }
-        _ => return Err("flight: missing array field \"recent\"".to_string()),
-    }
-    let slowest = match v.get("slowest") {
-        Some(Value::Arr(items)) => items,
-        _ => return Err("flight: missing array field \"slowest\"".to_string()),
-    };
-    for (i, s) in slowest.iter().enumerate() {
-        let ctx = format!("flight slowest {i}");
-        check_summary(&ctx, s)?;
-        match s.get("spans") {
-            Some(Value::Arr(spans)) => {
-                for span in spans {
-                    check_span(&ctx, span)?;
-                }
-            }
-            _ => return Err(format!("{ctx}: missing array field \"spans\"")),
-        }
-    }
-    Ok(slowest.len())
+    check(&v, &FLIGHT).map_err(|e| format!("flight: {e}"))?;
+    Ok(match v.get("slowest") {
+        Some(Value::Arr(slowest)) => slowest.len(),
+        _ => 0,
+    })
 }
 
 /// Dispatches a parsed POST request: canonical key plus the computation to
@@ -2045,5 +1843,103 @@ mod tests {
         assert!(validate_serve_json(&lying)
             .unwrap_err()
             .contains("disagrees"));
+    }
+
+    /// Every single-member corruption of a served body, generated from
+    /// the tables that validate it, is rejected.
+    fn rejects_every_mutant(body: &str) {
+        let doc = parse(body).unwrap();
+        let endpoint = validate_serve_json(body).unwrap();
+        let row = ENDPOINTS
+            .iter()
+            .find(|s| s.tag("endpoint") == Some(endpoint.as_str()))
+            .unwrap();
+        let mut shapes = vec![&HEADER, row];
+        if endpoint == "synthesize-multi" {
+            let accepted = doc.get("accepted") == Some(&Value::Bool(true));
+            shapes.push(if accepted {
+                &MULTI_ACCEPTED
+            } else {
+                &MULTI_REJECTED
+            });
+        }
+        for shape in shapes {
+            let all = fits_obs::json::mutants(&doc, shape);
+            assert!(!all.is_empty(), "{endpoint}: no mutants");
+            for mutant in &all {
+                assert!(
+                    validate_serve_json(mutant).is_err(),
+                    "{endpoint} accepted {mutant}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_serve_mutant_is_rejected() {
+        rejects_every_mutant(&healthz_body(42, "deadbeef"));
+        rejects_every_mutant(&SynthesizeRequest::from_body("{}").unwrap_err().body());
+        let metrics = crate::metrics::ServeMetrics::new();
+        metrics.finish("synthesize", 200, std::time::Duration::from_millis(3));
+        rejects_every_mutant(&metrics.render_json(&crate::metrics::MetricsContext {
+            queue_depth: 3,
+            queue_capacity: 64,
+            workers: 8,
+            cache_entries: 5,
+            uptime_s: 12,
+            log_emitted: 7,
+            log_dropped: 1,
+        }));
+        let req = SynthesizeRequest::from_body("{\"kernel\": \"crc32\"}").unwrap();
+        let artifacts = Artifacts::new().with_synth(req.synth.clone());
+        rejects_every_mutant(&synthesize_body(&artifacts, &req).unwrap());
+        let req = SimulateRequest::from_body("{\"kernel\": \"crc32\"}").unwrap();
+        let artifacts = Artifacts::new().with_synth(req.synth.clone());
+        rejects_every_mutant(&simulate_body(&artifacts, &req).unwrap());
+        let req = SweepRequest::from_body("{\"kernels\": [\"crc32\"], \"icache_bytes\": [8192]}")
+            .unwrap();
+        let artifacts = Artifacts::new().with_synth(req.synth.clone());
+        rejects_every_mutant(&sweep_body(&artifacts, &req).unwrap());
+        let req =
+            AnalyzeRequest::from_body("{\"kernel\": \"crc32\", \"static_only\": true}").unwrap();
+        let artifacts = Artifacts::new().with_synth(req.synth.clone());
+        rejects_every_mutant(&analyze_body(&artifacts, &req).unwrap());
+        for body in [
+            "{\"kernels\": [\"bitcount\", \"crc32\"]}",
+            "{\"kernels\": [\"bitcount\", \"crc32\"], \"epsilon\": -0.99}",
+        ] {
+            let req = SynthesizeMultiRequest::from_body(body).unwrap();
+            let artifacts = Artifacts::new().with_synth(req.synth.clone());
+            rejects_every_mutant(&synthesize_multi_body(&artifacts, &req).unwrap());
+        }
+    }
+
+    #[test]
+    fn every_flight_mutant_is_rejected() {
+        let span = |name: &str, children| fits_obs::Span {
+            name: name.to_string(),
+            nanos: 1_000,
+            count: 1,
+            children,
+        };
+        let fr = fits_obs::FlightRecorder::new(4, 2);
+        fr.record(
+            fits_obs::RequestSummary {
+                trace: "t1".to_string(),
+                method: "POST".to_string(),
+                endpoint: "synthesize".to_string(),
+                status: 200,
+                cache: "miss".to_string(),
+                us: 1500,
+                ..fits_obs::RequestSummary::default()
+            },
+            vec![span("execute", vec![span("profile", Vec::new())])],
+        );
+        let dump = fr.render_json();
+        let all = fits_obs::json::mutants(&parse(&dump).unwrap(), &FLIGHT);
+        assert!(all.len() > 30, "{} mutants", all.len());
+        for mutant in &all {
+            assert!(validate_flight_json(mutant).is_err(), "accepted {mutant}");
+        }
     }
 }

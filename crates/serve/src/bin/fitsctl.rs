@@ -437,6 +437,34 @@ fn cmd_smoke(addr: SocketAddr) {
         ),
         Err(e) => fail("smoke bad-body request", &e),
     }
+    // Hostile bodies: nesting past the parser's depth cap is a structured
+    // 400 `parse`, a 256 KiB string value gets a structured answer within
+    // the client timeout, and the daemon stays healthy after both.
+    match post(addr, "/synthesize", &"[".repeat(64 * 1024)) {
+        Ok((400, text)) if text.contains("\"code\": \"parse\"") => {
+            if let Err(e) = validate_serve_json(&text) {
+                fail("smoke nested-body 400 schema", &e);
+            }
+        }
+        Ok((status, text)) => fail(
+            "smoke",
+            &format!("64 KiB nested body answered HTTP {status}: {text}"),
+        ),
+        Err(e) => fail("smoke nested-body request", &e),
+    }
+    let long = format!(
+        "{{\"kernel\": \"crc32\", \"isa\": \"{}\"}}",
+        "x".repeat(256 * 1024)
+    );
+    match post(addr, "/synthesize", &long) {
+        Ok((_, text)) => {
+            if let Err(e) = validate_serve_json(&text) {
+                fail("smoke 256 KiB string schema", &e);
+            }
+        }
+        Err(e) => fail("smoke 256 KiB string request", &e),
+    }
+    checked(addr, "GET", "/healthz", "");
     checked(addr, "GET", "/metrics", "");
     println!("fitsctl: smoke ok");
 }

@@ -666,4 +666,25 @@ mod tests {
         assert!(body.contains("\"pointer\": \"/kernel\""));
         handle.stop();
     }
+
+    #[test]
+    fn deeply_nested_body_is_a_400_and_the_daemon_survives() {
+        let handle = spawn(&ServerConfig {
+            workers: 1,
+            queue_capacity: 8,
+            cache_capacity: 8,
+            ..ServerConfig::default()
+        })
+        .expect("bind");
+        let addr = handle.addr;
+        let (status, body) =
+            client::post(addr, "/synthesize", &"[".repeat(64 * 1024)).expect("post");
+        assert_eq!(status, 400);
+        assert_eq!(api::validate_serve_json(&body).unwrap(), "error");
+        assert!(body.contains("\"code\": \"parse\""), "{body}");
+        let (status, body) = client::get(addr, "/healthz").expect("healthz");
+        assert_eq!(status, 200);
+        assert_eq!(api::validate_serve_json(&body).unwrap(), "healthz");
+        handle.stop();
+    }
 }

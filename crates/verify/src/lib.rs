@@ -267,10 +267,10 @@ impl Report {
     }
 }
 
-/// Escapes a string into a JSON string literal (hand-rolled: the workspace
-/// carries no serialization dependency).
-#[must_use]
-pub fn json_string(s: &str) -> String {
+/// Escapes a string into a JSON string literal. `fits_obs::json::escape`
+/// is the workspace's escaper; this crate sits below fits-obs, so it keeps
+/// a private copy for [`Report::render_json`].
+fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
