@@ -14,7 +14,7 @@ use crate::decode::{DecodeError, DecodeErrorKind};
 use crate::{AddrOffset, Cond, DpOp, Index, Instr, MemOp, Operand2, Reg, RotImm, Shift, ShiftKind};
 
 use super::pattern::Pattern;
-use super::{EntryKind, IsaSpec, SpecError};
+use super::{excerpt, EntryKind, IsaSpec, SpecError};
 
 type Ctor = fn(&Pattern, u32) -> Result<Instr, DecodeError>;
 
@@ -295,7 +295,7 @@ impl Ar32Tables {
                     else {
                         return Err(SpecError::new(
                             entry.pos,
-                            format!("unknown AR32 form `{}`", entry.name),
+                            format!("unknown AR32 form `{}`", excerpt(&entry.name)),
                         ));
                     };
                     for letter in letters.chars() {

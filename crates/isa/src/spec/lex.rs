@@ -5,7 +5,7 @@
 //! token carries its source position so parse and validation diagnostics
 //! can point at the offending line and column.
 
-use super::{Pos, SpecError};
+use super::{excerpt, Pos, SpecError};
 
 /// A lexical token of the spec format.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -28,7 +28,7 @@ impl Tok {
     #[must_use]
     pub fn describe(&self) -> String {
         match self {
-            Tok::Ident(s) => format!("identifier `{s}`"),
+            Tok::Ident(s) => format!("identifier `{}`", excerpt(s)),
             Tok::Str(_) => "string".to_string(),
             Tok::Int(n) => format!("integer `{n}`"),
             Tok::LBrace => "`{`".to_string(),
@@ -134,7 +134,7 @@ pub fn lex(text: &str) -> Result<Vec<Token>, SpecError> {
                     col += 1;
                 }
                 let n = s.parse::<u64>().map_err(|_| {
-                    SpecError::new(pos, format!("`{s}` is not an unsigned integer"))
+                    SpecError::new(pos, format!("`{}` is not an unsigned integer", excerpt(&s)))
                 })?;
                 out.push(Token {
                     tok: Tok::Int(n),

@@ -29,6 +29,7 @@ pub use ar32::Ar32Tables;
 pub use pattern::{Field, Pattern};
 pub use t16::T16Tables;
 
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -82,6 +83,22 @@ impl fmt::Display for SpecError {
 }
 
 impl std::error::Error for SpecError {}
+
+/// Longest run of untrusted text, in chars, a diagnostic quotes verbatim.
+pub const EXCERPT_CHARS: usize = 64;
+
+/// Bounds untrusted text (a spec token, a request field) for quoting in a
+/// diagnostic. Text of at most [`EXCERPT_CHARS`] chars comes back as is;
+/// longer text is cut on a char boundary after [`EXCERPT_CHARS`] chars and
+/// followed by `…` and its total length in bytes, so an error message
+/// stays small however large the input was.
+#[must_use]
+pub fn excerpt(text: &str) -> Cow<'_, str> {
+    match text.char_indices().nth(EXCERPT_CHARS) {
+        None => Cow::Borrowed(text),
+        Some((cut, _)) => Cow::Owned(format!("{}… ({} bytes)", &text[..cut], text.len())),
+    }
+}
 
 /// Whether a pattern entry decodes to an instruction or rejects a
 /// reserved encoding.
@@ -174,7 +191,7 @@ impl IsaSpec {
         if self.schema != SCHEMA {
             return Err(SpecError::new(
                 top,
-                format!("schema `{}` is not `{SCHEMA}`", self.schema),
+                format!("schema `{}` is not `{SCHEMA}`", excerpt(&self.schema)),
             ));
         }
         if self.word_width != 16 && self.word_width != 32 {
@@ -197,7 +214,8 @@ impl IsaSpec {
                 return Err(SpecError::new(
                     top,
                     format!(
-                        "alias `{alias}` = {idx} exceeds register count {}",
+                        "alias `{}` = {idx} exceeds register count {}",
+                        excerpt(alias),
                         self.registers.count
                     ),
                 ));
@@ -215,14 +233,17 @@ impl IsaSpec {
             if self.entries[..i].iter().any(|e| e.name == entry.name) {
                 return Err(SpecError::new(
                     entry.pos,
-                    format!("duplicate pattern name `{}`", entry.name),
+                    format!("duplicate pattern name `{}`", excerpt(&entry.name)),
                 ));
             }
         }
         for list in [&self.layouts, &self.tiers, &self.dictionaries] {
             for (i, name) in list.iter().enumerate() {
                 if list[..i].iter().any(|n| n == name) {
-                    return Err(SpecError::new(top, format!("duplicate name `{name}`")));
+                    return Err(SpecError::new(
+                        top,
+                        format!("duplicate name `{}`", excerpt(name)),
+                    ));
                 }
             }
         }
@@ -351,6 +372,26 @@ impl SpecCatalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn excerpt_keeps_short_text_and_bounds_long_text_on_a_char_boundary() {
+        assert_eq!(excerpt("crc32"), "crc32");
+        let exact = "a".repeat(EXCERPT_CHARS);
+        assert_eq!(excerpt(&exact), exact.as_str());
+        // Two-byte chars: the cut lands after 64 chars, not 64 bytes.
+        let long = "é".repeat(EXCERPT_CHARS + 1);
+        assert_eq!(
+            excerpt(&long),
+            format!("{}… (130 bytes)", "é".repeat(EXCERPT_CHARS))
+        );
+        let err = IsaSpec::load(&"k".repeat(256 * 1024)).unwrap_err();
+        assert!(err.message.len() < 256, "{}", err.message);
+        assert!(
+            err.message.ends_with("… (262144 bytes)`"),
+            "{}",
+            err.message
+        );
+    }
 
     #[test]
     fn shipped_specs_load() {

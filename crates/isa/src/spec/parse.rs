@@ -20,7 +20,7 @@
 
 use super::lex::{lex, Tok, Token};
 use super::pattern::Pattern;
-use super::{EntryKind, IsaSpec, PatternEntry, Pos, RegisterFile, SpecError};
+use super::{excerpt, EntryKind, IsaSpec, PatternEntry, Pos, RegisterFile, SpecError};
 
 struct Parser {
     toks: Vec<Token>,
@@ -98,7 +98,7 @@ impl Parser {
         } else {
             Err(SpecError::new(
                 pos,
-                format!("expected `{kw}`, found `{word}`"),
+                format!("expected `{kw}`, found `{}`", excerpt(&word)),
             ))
         }
     }
@@ -187,7 +187,7 @@ pub fn parse_spec(text: &str) -> Result<IsaSpec, SpecError> {
                         other => {
                             return Err(SpecError::new(
                                 field_pos,
-                                format!("unknown register item `{other}`"),
+                                format!("unknown register item `{}`", excerpt(other)),
                             ));
                         }
                     }
@@ -254,7 +254,10 @@ pub fn parse_spec(text: &str) -> Result<IsaSpec, SpecError> {
                 });
             }
             other => {
-                return Err(SpecError::new(item_pos, format!("unknown item `{other}`")));
+                return Err(SpecError::new(
+                    item_pos,
+                    format!("unknown item `{}`", excerpt(other)),
+                ));
             }
         }
     }

@@ -6,7 +6,7 @@
 //! letter are one field; split runs concatenate MSB-first. Spaces and
 //! underscores are ignored, so specs can group nibbles for readability.
 
-use super::{Pos, SpecError};
+use super::{excerpt, Pos, SpecError};
 
 /// One named field of a pattern: the runs of bit positions it occupies.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -50,7 +50,10 @@ impl Pattern {
         if width != expect_width {
             return Err(SpecError::new(
                 pos,
-                format!("pattern \"{text}\" has {width} bits, expected {expect_width}"),
+                format!(
+                    "pattern \"{}\" has {width} bits, expected {expect_width}",
+                    excerpt(text)
+                ),
             ));
         }
         let mut mask = 0u32;
@@ -95,7 +98,10 @@ impl Pattern {
                 c => {
                     return Err(SpecError::new(
                         pos,
-                        format!("pattern \"{text}\" has invalid character `{c}` (use 0, 1, x or a field letter)"),
+                        format!(
+                            "pattern \"{}\" has invalid character `{c}` (use 0, 1, x or a field letter)",
+                            excerpt(text)
+                        ),
                     ));
                 }
             }

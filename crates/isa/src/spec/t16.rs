@@ -12,7 +12,7 @@ use crate::thumb::{AddSubRhs, HiOp, Imm8Op, T16Alu, T16DecodeError, T16EncodeErr
 use crate::{Cond, MemOp, Reg, ShiftKind};
 
 use super::pattern::Pattern;
-use super::{EntryKind, IsaSpec, SpecError};
+use super::{excerpt, EntryKind, IsaSpec, SpecError};
 
 type Ctor = fn(&Pattern, u32) -> T16Instr;
 
@@ -337,7 +337,7 @@ impl T16Tables {
                         else {
                             return Err(SpecError::new(
                                 entry.pos,
-                                format!("unknown T16 form `{name}`"),
+                                format!("unknown T16 form `{}`", excerpt(name)),
                             ));
                         };
                         for letter in letters.chars() {

@@ -18,7 +18,7 @@ use fits_bench::{
     Artifacts, ExperimentError,
 };
 use fits_core::{synthesize_multi, MultiError, MultiMember, MultiOptions, SynthOptions};
-use fits_isa::spec::{builtin_ar32, IsaSpec, SpecCatalog};
+use fits_isa::spec::{builtin_ar32, excerpt, IsaSpec, SpecCatalog};
 use fits_kernels::kernels::{Kernel, Scale};
 use fits_obs::json::Shape::{self, Arr, Bool, Lit, NonEmpty, Num, Obj, Str};
 use fits_obs::json::{
@@ -177,7 +177,7 @@ fn kernel_field(v: &Value, pointer: &str) -> Result<Kernel, ApiError> {
         ApiError::new(
             "bad_value",
             &format!("{pointer}/kernel"),
-            format!("unknown kernel {name:?}"),
+            format!("unknown kernel {:?}", excerpt(name)),
         )
     })
 }
@@ -207,13 +207,18 @@ fn kernels_field(
         let name = item
             .as_str()
             .ok_or_else(|| ApiError::new("bad_type", &at(), "expected a string"))?;
-        let k = Kernel::from_name(name)
-            .ok_or_else(|| ApiError::new("bad_value", &at(), format!("unknown kernel {name:?}")))?;
+        let k = Kernel::from_name(name).ok_or_else(|| {
+            ApiError::new(
+                "bad_value",
+                &at(),
+                format!("unknown kernel {:?}", excerpt(name)),
+            )
+        })?;
         if kernels.contains(&k) {
             return Err(ApiError::new(
                 "bad_value",
                 &at(),
-                format!("duplicate kernel {name:?}"),
+                format!("duplicate kernel {:?}", excerpt(name)),
             ));
         }
         kernels.push(k);
@@ -640,7 +645,8 @@ impl SweepRequest {
                             "bad_value",
                             &format!("/tech/{i}"),
                             format!(
-                                "unknown tech node {name:?} (nodes: {})",
+                                "unknown tech node {:?} (nodes: {})",
+                                excerpt(name),
                                 TECH_NAMES.join(" ")
                             ),
                         ));
@@ -1499,6 +1505,35 @@ mod tests {
         assert_eq!(err.pointer, "/icache_bytes");
         // Every rejection renders as a schema-valid error body.
         assert_eq!(validate_serve_json(&err.body()).unwrap(), "error");
+    }
+
+    #[test]
+    fn oversized_request_text_is_quoted_not_echoed() {
+        let huge = "k".repeat(256 * 1024);
+        let errors = [
+            (
+                SynthesizeRequest::from_body(&format!("{{\"kernel\": \"{huge}\"}}")).unwrap_err(),
+                "/kernel",
+            ),
+            (
+                SynthesizeRequest::from_body(&format!(
+                    "{{\"kernel\": \"crc32\", \"isa\": \"{huge}\"}}"
+                ))
+                .unwrap_err(),
+                "/isa",
+            ),
+            (
+                SweepRequest::from_body(&format!("{{\"kernels\": [\"{huge}\"]}}")).unwrap_err(),
+                "/kernels/0",
+            ),
+        ];
+        for (err, pointer) in errors {
+            assert_eq!((err.code, err.pointer.as_str()), ("bad_value", pointer));
+            let body = err.body();
+            assert!(body.len() < 1024, "{pointer}: {} byte body", body.len());
+            assert!(body.contains("(262144 bytes)"), "{body}");
+            assert_eq!(validate_serve_json(&body).unwrap(), "error");
+        }
     }
 
     #[test]

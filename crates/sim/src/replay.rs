@@ -25,9 +25,18 @@
 //!    reconstructed from shared event counters and lane-local stall totals,
 //!    so every lane's `Cache` sees exactly the `(addr, data, cycle)`
 //!    sequence a dedicated per-configuration model would have produced.
+//!    Configurations no replay can tell apart share one lane
+//!    ([`CompiledProgram::replay_classes`]): if no set of an I-cache ever
+//!    receives more distinct text lines than it has ways, that cache never
+//!    evicts, so every fetch misses exactly on the first touch of its line
+//!    whatever the size, associativity or replacement policy. Two such
+//!    configurations that agree on the I-cache line size, the D-cache and
+//!    all five penalties therefore see the same hit/miss sequence, the
+//!    same stalls and the same cycle stream — every [`SimResult`] field,
+//!    peak windows included, is identical — and one replay prices both.
 //!
 //! The pipeline pass delivers its events through one of two drains, picked
-//! by [`RecordedTrace::price_all`] from the number of configurations: the
+//! by [`RecordedTrace::price_all`] from the number of lanes it replays: the
 //! fused single-lane drain ([`FusedSink`], also the only one that can
 //! report events to a [`CacheEventObserver`]) applies each event inline,
 //! and the batch drain ([`BufferSink`]) buffers events in bounded chunks
@@ -44,7 +53,7 @@ use fits_isa::{InstrClass, Reg};
 use crate::cache::validate_config;
 use crate::machine::{RunOutput, FNV_OFFSET};
 use crate::timing::{BranchStats, CacheEventObserver, Sa1100Config, SimResult};
-use crate::{Cache, InstrSet, OpControl, SimError};
+use crate::{Cache, CacheConfig, InstrSet, OpControl, SimError};
 
 /// Static per-op template: everything the timing model needs to know about
 /// an op that is a pure function of the decoded instruction, precomputed
@@ -309,6 +318,72 @@ impl CompiledProgram {
         self.entry_index
     }
 
+    /// Maps each configuration to the one whose replay prices it:
+    /// `classes[i]` is the index of the first configuration in `cfgs` that
+    /// no replay of this program can tell apart from `cfgs[i]`, so
+    /// `classes[i] == i` exactly for the configurations
+    /// [`RecordedTrace::price_all`] replays. Two configurations are
+    /// grouped when both I-caches never evict on this program (no set
+    /// receives more distinct text lines than it has ways) and they agree
+    /// on the I-cache line size, the D-cache and all five penalties; size,
+    /// associativity and replacement policy may differ. Costs O(static
+    /// ops) per configuration and needs no trace.
+    ///
+    /// # Errors
+    ///
+    /// Every configuration's cache geometries are validated first, so a
+    /// degenerate geometry errors even where it would have been grouped.
+    pub fn replay_classes(&self, cfgs: &[Sa1100Config]) -> Result<Vec<usize>, SimError> {
+        for cfg in cfgs {
+            validate_config(&cfg.icache)?;
+            validate_config(&cfg.dcache)?;
+        }
+        let quiet: Vec<bool> = cfgs
+            .iter()
+            .map(|cfg| self.icache_never_evicts(&cfg.icache))
+            .collect();
+        let same_machine = |a: &Sa1100Config, b: &Sa1100Config| {
+            a.icache.line_bytes == b.icache.line_bytes
+                && a.dcache == b.dcache
+                && a.icache_miss_penalty == b.icache_miss_penalty
+                && a.dcache_miss_penalty == b.dcache_miss_penalty
+                && a.mul_extra_cycles == b.mul_extra_cycles
+                && a.taken_branch_penalty == b.taken_branch_penalty
+                && a.mispredict_penalty == b.mispredict_penalty
+        };
+        // Grouping is an equivalence over the quiet configurations, so the
+        // first earlier match is its class's own representative.
+        Ok((0..cfgs.len())
+            .map(|i| {
+                (0..i)
+                    .find(|&j| quiet[i] && quiet[j] && same_machine(&cfgs[i], &cfgs[j]))
+                    .unwrap_or(i)
+            })
+            .collect())
+    }
+
+    /// Whether an I-cache of geometry `icache` (validated) never evicts
+    /// while running this program: no set receives more distinct text
+    /// lines than it has ways, so every fill finds a free way and the
+    /// replacement policy never runs.
+    fn icache_never_evicts(&self, icache: &CacheConfig) -> bool {
+        let sets = icache.sets();
+        let shift = icache.line_bytes.trailing_zeros();
+        let mut lines_in_set = vec![0u32; sets as usize];
+        let mut last_line = None;
+        for t in &self.templates {
+            // Templates run in address order, so a line's repeats are
+            // adjacent; were they not, a line counted twice would only
+            // make the answer more conservative.
+            let line = t.fetch_word_addr >> shift;
+            if last_line != Some(line) {
+                last_line = Some(line);
+                lines_in_set[(line & (sets - 1)) as usize] += 1;
+            }
+        }
+        lines_in_set.iter().all(|&n| n <= icache.ways)
+    }
+
     pub(crate) fn token(&self) -> u64 {
         self.token
     }
@@ -501,10 +576,12 @@ impl RecordedTrace {
 
     /// Replays the SA-1100 pipeline once over the trace and prices **all**
     /// configurations. Returns one [`SimResult`] per configuration, in
-    /// order. A single configuration runs the fused drain (the same pass
-    /// as [`RecordedTrace::price`]); more than one run the batch drain,
-    /// which amortizes one pipeline pass over every lane. Both drains give
-    /// bit-identical results.
+    /// order. Each class of [`CompiledProgram::replay_classes`] is replayed
+    /// once and its result copied to every member. A single class runs the
+    /// fused drain (the same pass as [`RecordedTrace::price`]); more than
+    /// one run the batch drain, which amortizes one pipeline pass over
+    /// every lane. Both drains give bit-identical results; an empty slice
+    /// runs no pass at all.
     ///
     /// # Errors
     ///
@@ -516,10 +593,32 @@ impl RecordedTrace {
         compiled: &CompiledProgram,
         cfgs: &[Sa1100Config],
     ) -> Result<Vec<SimResult>, SimError> {
-        match cfgs {
-            [cfg] => Ok(vec![self.price(compiled, cfg)?]),
-            _ => self.price_batch(compiled, cfgs),
+        self.check_compiled(compiled)?;
+        let classes = compiled.replay_classes(cfgs)?;
+        let replayed: Vec<&Sa1100Config> = cfgs
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| classes[i] == i)
+            .map(|(_, cfg)| cfg)
+            .collect();
+        let sims = match replayed.as_slice() {
+            [] => return Ok(Vec::new()),
+            [cfg] => vec![self.price(compiled, cfg)?],
+            _ => self.price_batch(compiled, &replayed)?,
+        };
+        // Representatives precede their members, so a member copies a
+        // result already in place.
+        let mut fresh = sims.into_iter();
+        let mut out: Vec<SimResult> = Vec::with_capacity(cfgs.len());
+        for (i, &rep) in classes.iter().enumerate() {
+            let sim = if rep == i {
+                fresh.next().expect("one replayed lane per class")
+            } else {
+                out[rep].clone()
+            };
+            out.push(sim);
         }
+        Ok(out)
     }
 
     /// Single-configuration replay.
@@ -570,7 +669,7 @@ impl RecordedTrace {
     }
 
     /// The batch drain behind [`RecordedTrace::price_all`] for more than
-    /// one configuration: the pipeline pass fills a bounded buffer of
+    /// one replayed lane: the pipeline pass fills a bounded buffer of
     /// cache/penalty events (so memory stays constant no matter how long
     /// the trace is), and each full buffer is drained by every lane in a
     /// tight, branch-light loop. One lane's cache state stays hot in L1 for
@@ -582,14 +681,16 @@ impl RecordedTrace {
     fn price_batch(
         &self,
         compiled: &CompiledProgram,
-        cfgs: &[Sa1100Config],
+        cfgs: &[&Sa1100Config],
     ) -> Result<Vec<SimResult>, SimError> {
         /// Events per chunk: small enough (16 B each) to stay
         /// cache-resident, large enough to amortize the loop switches.
         const CHUNK_EVENTS: usize = 1 << 15;
 
-        self.check_compiled(compiled)?;
-        let mut lanes = cfgs.iter().map(Lane::new).collect::<Result<Vec<_>, _>>()?;
+        let mut lanes = cfgs
+            .iter()
+            .map(|cfg| Lane::new(cfg))
+            .collect::<Result<Vec<_>, _>>()?;
         let mut replay = Replay::new(BufferSink {
             // One op can emit at most 1 I-cache + 1 D-cache event, so a
             // small slack past the target avoids reallocation.
@@ -1240,5 +1341,134 @@ mod tests {
         assert!(trace
             .price_all(&other_compiled, &[Sa1100Config::icache_16k()])
             .is_err());
+    }
+
+    /// `n` straight-line AR32 ops.
+    fn straight_line(n: usize) -> Ar32Set {
+        Ar32Set::load(&Program {
+            text: vec![Instr::mov(Reg::R0, Operand2::imm(0).unwrap()); n],
+            ..Program::default()
+        })
+    }
+
+    /// AR32 ops re-addressed as 2-byte ops (op `i` at `TEXT_BASE + 2i`),
+    /// so the lifter sees text laid out like a FITS binary's.
+    struct Halved(Ar32Set);
+
+    impl InstrSet for Halved {
+        type Op = <Ar32Set as InstrSet>::Op;
+
+        fn entry_pc(&self) -> u32 {
+            TEXT_BASE
+        }
+        fn op_size(&self) -> u32 {
+            2
+        }
+        fn op_count(&self) -> usize {
+            self.0.op_count()
+        }
+        fn initial_data(&self) -> &[u8] {
+            self.0.initial_data()
+        }
+        fn op_at(&self, pc: u32) -> Result<&Self::Op, SimError> {
+            self.0.op_at(TEXT_BASE + (pc - TEXT_BASE) * 2)
+        }
+        fn fetch_word(&self, word_addr: u32) -> u32 {
+            self.0.fetch_word(word_addr)
+        }
+        fn describe(&self, op: &Self::Op) -> crate::OpMeta {
+            self.0.describe(op)
+        }
+        fn control_flow(&self, _pc: u32, _op: &Self::Op) -> OpControl {
+            OpControl::Sequential
+        }
+        fn execute(
+            &self,
+            op: &Self::Op,
+            ctx: &mut crate::ExecCtx<'_>,
+        ) -> Result<crate::StepOutcome, SimError> {
+            self.0.execute(op, ctx)
+        }
+    }
+
+    /// Whether a real LRU cache of geometry `icache` misses on a second
+    /// in-order sweep over the program's fetch words — i.e. evicted.
+    fn second_sweep_misses(compiled: &CompiledProgram, icache: &CacheConfig) -> bool {
+        let mut cache = Cache::new(icache.clone());
+        let mut sweep = || {
+            compiled
+                .templates()
+                .iter()
+                .filter(|t| !cache.access(t.fetch_word_addr, false, 0, 0))
+                .count()
+        };
+        sweep();
+        sweep() > 0
+    }
+
+    #[test]
+    fn text_filling_every_way_never_evicts_and_one_more_line_does() {
+        // 4 sets × 2 ways of 32-byte lines: 8 lines, 256 bytes of text.
+        let icache = CacheConfig {
+            name: "tiny".into(),
+            size_bytes: 256,
+            ways: 2,
+            line_bytes: 32,
+            replacement: crate::Replacement::Lru,
+        };
+        let fill = |op_size: usize| 256 / op_size;
+        let programs = [
+            (
+                4,
+                fill(4),
+                CompiledProgram::compile(&straight_line(fill(4))),
+            ),
+            (
+                4,
+                fill(4) + 1,
+                CompiledProgram::compile(&straight_line(fill(4) + 1)),
+            ),
+            (
+                2,
+                fill(2),
+                CompiledProgram::compile(&Halved(straight_line(fill(2)))),
+            ),
+            (
+                2,
+                fill(2) + 1,
+                CompiledProgram::compile(&Halved(straight_line(fill(2) + 1))),
+            ),
+        ];
+        for (op_size, ops, compiled) in programs {
+            let compiled = compiled.unwrap();
+            let fits = ops * op_size <= 256;
+            assert_eq!(
+                compiled.icache_never_evicts(&icache),
+                fits,
+                "{ops} ops of {op_size} bytes in 256 bytes of cache"
+            );
+            assert_eq!(
+                second_sweep_misses(&compiled, &icache),
+                !fits,
+                "the cache model disagrees for {ops} ops of {op_size} bytes"
+            );
+        }
+    }
+
+    #[test]
+    fn no_configurations_price_to_nothing_and_bad_geometry_is_never_grouped_away() {
+        let set = Ar32Set::load(&looped_program());
+        let compiled = CompiledProgram::compile(&set).unwrap();
+        let trace = Machine::new(set).run_recorded(&compiled).unwrap();
+        assert_eq!(trace.price_all(&compiled, &[]).unwrap(), Vec::new());
+        assert_eq!(compiled.replay_classes(&[]).unwrap(), Vec::<usize>::new());
+
+        // The program's seven ops fit a 3 KB I-cache too, so it would
+        // share the 16 KB replay — but three sets is not a valid geometry.
+        let mut bad = Sa1100Config::icache_16k();
+        bad.icache.size_bytes = 3 * 1024;
+        let cfgs = [Sa1100Config::icache_16k(), bad];
+        assert!(compiled.replay_classes(&cfgs).is_err());
+        assert!(trace.price_all(&compiled, &cfgs).is_err());
     }
 }

@@ -26,7 +26,7 @@
 //! [`validate_decoder_config`].
 
 use fits_core::DecoderConfig;
-use fits_isa::spec::{Ar32Tables, IsaSpec, PatternEntry, T16Tables};
+use fits_isa::spec::{excerpt, Ar32Tables, IsaSpec, PatternEntry, T16Tables};
 
 use crate::{Diagnostic, Report};
 
@@ -81,7 +81,10 @@ fn check_patterns(spec: &IsaSpec, diags: &mut Vec<Diagnostic>) {
                     format!(
                         "entry `{}` ({}) is dead: every word it matches is already \
                          claimed by `{}` ({})",
-                        b.name, b.pos, a.name, a.pos
+                        excerpt(&b.name),
+                        b.pos,
+                        excerpt(&a.name),
+                        a.pos
                     ),
                 ));
                 // One shadowing witness is enough per entry.
@@ -97,7 +100,10 @@ fn check_patterns(spec: &IsaSpec, diags: &mut Vec<Diagnostic>) {
                     format!(
                         "forms `{}` ({}) and `{}` ({}) overlap ambiguously: some words \
                          match both but neither pattern refines the other",
-                        a.name, a.pos, b.name, b.pos
+                        excerpt(&a.name),
+                        a.pos,
+                        excerpt(&b.name),
+                        b.pos
                     ),
                 ));
             }
@@ -138,7 +144,8 @@ fn check_ar32_engine(spec: &IsaSpec, diags: &mut Vec<Diagnostic>) {
                     format!(
                         "form `{}` ({}) does not round-trip: {word:#010x} decodes to \
                          `{instr}` which re-encodes as {back:#010x}",
-                        entry.name, entry.pos
+                        excerpt(&entry.name),
+                        entry.pos
                     ),
                 ));
                 break; // one witness per form
@@ -183,7 +190,8 @@ fn check_t16_engine(spec: &IsaSpec, diags: &mut Vec<Diagnostic>) {
                     format!(
                         "form `{}` ({}) does not round-trip: {word:#06x} decodes to an \
                          instruction its own encoder rejects",
-                        entry.name, entry.pos
+                        excerpt(&entry.name),
+                        entry.pos
                     ),
                 ));
                 break;
@@ -194,7 +202,8 @@ fn check_t16_engine(spec: &IsaSpec, diags: &mut Vec<Diagnostic>) {
                     format!(
                         "form `{}` ({}) does not round-trip: {word:#06x} re-encodes to \
                          a different instruction",
-                        entry.name, entry.pos
+                        excerpt(&entry.name),
+                        entry.pos
                     ),
                 ));
                 break;

@@ -206,3 +206,133 @@ fn check_compiled_api<S: InstrSet + Clone>(set: &S, cfgs: &[Sa1100Config], label
         );
     }
 }
+
+/// The I-cache sizes the grouping suite test sweeps: the paper's pair
+/// plus three sizes small enough that most binaries overflow them.
+const FIT_SIZES: [u32; 5] = [16 * 1024, 8 * 1024, 4 * 1024, 2 * 1024, 1024];
+
+/// `price_all` replays one lane per class of `replay_classes`. Text laid
+/// out contiguously from a line-aligned base fits a cache — never evicts
+/// — exactly when its byte size is at most the capacity, so over a
+/// descending size sweep the expected classes follow from `code_bytes`
+/// alone: every fitting lane shares the first fitting lane's replay and
+/// every other lane is replayed on its own. Whatever the grouping, each
+/// result must equal a dedicated `price` bit for bit.
+#[test]
+fn price_all_groups_exactly_the_lanes_whose_text_fits() {
+    let scale = Scale::test();
+    let cfgs: Vec<Sa1100Config> = FIT_SIZES
+        .iter()
+        .map(|&bytes| Sa1100Config::icache_16k().with_icache_bytes(bytes).unwrap())
+        .collect();
+    let mut grouped = 0;
+    for &kernel in Kernel::ALL.iter() {
+        let program = kernel.compile(scale).expect("kernel compiles");
+        let flow = FitsFlow::new().run(&program).expect("flow accepts");
+        grouped += check_fit_grouping(
+            &Ar32Set::load(&program),
+            program.code_bytes(),
+            &cfgs,
+            &format!("{kernel} (AR32)"),
+        );
+        grouped += check_fit_grouping(
+            &FitsSet::load(&flow.fits).unwrap(),
+            flow.fits.code_bytes(),
+            &cfgs,
+            &format!("{kernel} (FITS)"),
+        );
+    }
+    assert!(grouped > 0, "the sweep must exercise grouping at all");
+}
+
+/// Checks one binary; returns how many of its lanes were grouped away.
+fn check_fit_grouping<S: InstrSet + Clone>(
+    set: &S,
+    code_bytes: usize,
+    cfgs: &[Sa1100Config],
+    label: &str,
+) -> usize {
+    let compiled = CompiledProgram::compile(set).expect("compiles to blocks");
+    let fits = |cfg: &Sa1100Config| code_bytes <= cfg.icache.size_bytes as usize;
+    let first_fit = cfgs.iter().position(fits);
+    let expected: Vec<usize> = cfgs
+        .iter()
+        .enumerate()
+        .map(|(i, cfg)| if fits(cfg) { first_fit.unwrap() } else { i })
+        .collect();
+    let classes = compiled.replay_classes(cfgs).expect("classes");
+    assert_eq!(classes, expected, "{label}: {code_bytes} B of text");
+
+    let trace = Machine::new(set.clone())
+        .run_recorded(&compiled)
+        .expect("recorded run");
+    let sims = trace.price_all(&compiled, cfgs).expect("price all");
+    for (cfg, sim) in cfgs.iter().zip(&sims) {
+        assert_eq!(
+            trace.price(&compiled, cfg).expect("price"),
+            *sim,
+            "{label}: grouped pricing diverged at {} B icache",
+            cfg.icache.size_bytes
+        );
+    }
+    classes.iter().enumerate().filter(|&(i, &c)| c != i).count()
+}
+
+/// Grouping guards: eviction-free lanes that differ only in ways or in
+/// replacement policy share a replay (and still equal `price`); lanes that
+/// differ in I-cache line size, D-cache or any of the five penalties never
+/// do, even when every I-cache is eviction-free.
+#[test]
+fn only_lanes_the_replay_cannot_tell_apart_are_grouped() {
+    use powerfits::sim::Replacement;
+
+    let program = Kernel::Crc32.compile(Scale::test()).expect("compiles");
+    let set = Ar32Set::load(&program);
+    let base = Sa1100Config::icache_16k();
+    assert!(program.code_bytes() <= base.icache.size_bytes as usize);
+    let with = |f: &dyn Fn(&mut Sa1100Config)| {
+        let mut cfg = base.clone();
+        f(&mut cfg);
+        cfg
+    };
+    let twins = [
+        with(&|c| c.icache.ways = 64),
+        with(&|c| c.icache.ways = 8),
+        with(&|c| c.icache.replacement = Replacement::Lru),
+        with(&|c| {
+            c.icache.ways = 16;
+            c.icache.replacement = Replacement::Lru;
+        }),
+    ];
+    let strangers = [
+        with(&|c| c.icache.line_bytes = 64),
+        with(&|c| c.dcache = c.dcache.resized(4 * 1024).unwrap()),
+        with(&|c| c.dcache.replacement = Replacement::Lru),
+        with(&|c| c.icache_miss_penalty += 1),
+        with(&|c| c.dcache_miss_penalty += 1),
+        with(&|c| c.mul_extra_cycles += 1),
+        with(&|c| c.taken_branch_penalty += 1),
+        with(&|c| c.mispredict_penalty += 1),
+    ];
+    let cfgs: Vec<Sa1100Config> = std::iter::once(base.clone())
+        .chain(twins.iter().cloned())
+        .chain(strangers.iter().cloned())
+        .collect();
+
+    let compiled = CompiledProgram::compile(&set).expect("compiles to blocks");
+    let classes = compiled.replay_classes(&cfgs).expect("classes");
+    let expected: Vec<usize> = (0..cfgs.len())
+        .map(|i| if i <= twins.len() { 0 } else { i })
+        .collect();
+    assert_eq!(classes, expected);
+
+    let trace = Machine::new(set).run_recorded(&compiled).expect("recorded");
+    let sims = trace.price_all(&compiled, &cfgs).expect("price all");
+    for (i, (cfg, sim)) in cfgs.iter().zip(&sims).enumerate() {
+        assert_eq!(
+            trace.price(&compiled, cfg).expect("price"),
+            *sim,
+            "lane {i} diverged from its own replay"
+        );
+    }
+}
