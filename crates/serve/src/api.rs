@@ -6,10 +6,17 @@
 //! offending field — a malformed request can never panic a worker.
 //!
 //! Every POST endpoint is a **pure function** of its canonical request
-//! string ([`SynthesizeRequest::canonical`] and friends): no timestamps,
-//! no host stamps, fixed key order. That purity is what makes the
-//! content-addressed cache and the coalescer sound — equal canonical
-//! strings may share one execution and one response body, byte for byte.
+//! string ([`PostRequest::canonical`]): no timestamps, no host stamps,
+//! fixed key order. That purity is what makes the content-addressed cache
+//! and the coalescer sound — equal canonical strings may share one
+//! execution and one response body, byte for byte.
+//!
+//! One table, `POST_ENDPOINTS`, names every POST target, the top-level
+//! fields its body may carry, and the parser of its endpoint-specific
+//! fields (its `Job`). [`PostRequest::from_target`] checks the fields
+//! every endpoint shares once, in one order for all of them: unknown
+//! fields, `scale`, then the job's own fields, `synth` (over the job's base
+//! options), `isa`.
 
 use std::sync::Arc;
 
@@ -24,7 +31,10 @@ use fits_obs::json::Shape::{self, Arr, Bool, Lit, NonEmpty, Num, Obj, Str};
 use fits_obs::json::{
     check, check_cache_bounds, escape, parse, Value, CACHE_BOUNDS, ISA_AGGREGATE,
 };
-use fits_scenario::{tech_preset, ScenarioMatrix, ScenarioSpec, PRESET_NAMES, TECH_NAMES};
+use fits_power::TechParams;
+use fits_scenario::{
+    tech_preset, ScenarioError, ScenarioMatrix, ScenarioSpec, PRESET_NAMES, TECH_NAMES,
+};
 
 /// The response schema identifier every body carries.
 pub const SCHEMA: &str = "powerfits-serve-v1";
@@ -48,7 +58,7 @@ pub struct ApiError {
 }
 
 impl ApiError {
-    fn new(code: &'static str, pointer: &str, message: impl Into<String>) -> ApiError {
+    pub(crate) fn new(code: &'static str, pointer: &str, message: impl Into<String>) -> ApiError {
         ApiError {
             code,
             pointer: pointer.to_string(),
@@ -87,60 +97,68 @@ fn parse_body(body: &str) -> Result<Value, ApiError> {
     parse(body).map_err(|e| ApiError::new("parse", "", e.to_string()))
 }
 
-fn members<'a>(v: &'a Value, pointer: &str) -> Result<&'a [(String, Value)], ApiError> {
-    match v {
-        Value::Obj(m) => Ok(m),
-        _ => Err(ApiError::new("bad_type", pointer, "expected an object")),
+/// Rejects any member of the object `v` (at `pointer`) not among the
+/// space-separated `allowed` names. The offending key is quoted through
+/// [`excerpt`], never echoed whole.
+fn reject_unknown(v: &Value, pointer: &str, allowed: &str) -> Result<(), ApiError> {
+    let Value::Obj(members) = v else {
+        return Err(ApiError::new("bad_type", pointer, "expected an object"));
+    };
+    match members
+        .iter()
+        .find(|(key, _)| !allowed.split(' ').any(|a| a == key))
+    {
+        None => Ok(()),
+        Some((key, _)) => Err(ApiError::new(
+            "unknown_field",
+            &format!("{pointer}/{}", excerpt(key)),
+            format!("unknown field (allowed: {})", allowed.replace(' ', ", ")),
+        )),
     }
 }
 
-fn reject_unknown(v: &Value, pointer: &str, allowed: &[&str]) -> Result<(), ApiError> {
-    for (key, _) in members(v, pointer)? {
-        if !allowed.contains(&key.as_str()) {
-            return Err(ApiError::new(
-                "unknown_field",
-                &format!("{pointer}/{key}"),
-                format!("unknown field (allowed: {})", allowed.join(", ")),
-            ));
-        }
-    }
-    Ok(())
+/// The optional member `key` of `v` read through `get`; a member `get`
+/// refuses is a `bad_type` rejection (`expected …`) at `{pointer}/{key}`.
+fn opt<'a, T>(
+    v: &'a Value,
+    pointer: &str,
+    key: &str,
+    expected: &str,
+    get: impl Fn(&'a Value) -> Option<T>,
+) -> Result<Option<T>, ApiError> {
+    let Some(member) = v.get(key) else {
+        return Ok(None);
+    };
+    get(member).map(Some).ok_or_else(|| {
+        ApiError::new(
+            "bad_type",
+            &format!("{pointer}/{key}"),
+            format!("expected {expected}"),
+        )
+    })
 }
 
 fn opt_str<'a>(v: &'a Value, pointer: &str, key: &str) -> Result<Option<&'a str>, ApiError> {
-    match v.get(key) {
-        None => Ok(None),
-        Some(Value::Str(s)) => Ok(Some(s)),
-        Some(_) => Err(ApiError::new(
-            "bad_type",
-            &format!("{pointer}/{key}"),
-            "expected a string",
-        )),
-    }
+    opt(v, pointer, key, "a string", Value::as_str)
 }
 
 fn opt_bool(v: &Value, pointer: &str, key: &str) -> Result<Option<bool>, ApiError> {
-    match v.get(key) {
-        None => Ok(None),
-        Some(Value::Bool(b)) => Ok(Some(*b)),
-        Some(_) => Err(ApiError::new(
-            "bad_type",
-            &format!("{pointer}/{key}"),
-            "expected a boolean",
-        )),
-    }
+    opt(v, pointer, key, "a boolean", |b| match b {
+        Value::Bool(b) => Some(*b),
+        _ => None,
+    })
 }
 
 fn opt_f64(v: &Value, pointer: &str, key: &str) -> Result<Option<f64>, ApiError> {
-    match v.get(key) {
-        None => Ok(None),
-        Some(Value::Num(n)) => Ok(Some(*n)),
-        Some(_) => Err(ApiError::new(
-            "bad_type",
-            &format!("{pointer}/{key}"),
-            "expected a number",
-        )),
-    }
+    opt(v, pointer, key, "a number", Value::as_f64)
+}
+
+/// The optional top-level array `key`.
+fn opt_arr<'a>(v: &'a Value, key: &str) -> Result<Option<&'a [Value]>, ApiError> {
+    opt(v, "", key, "an array", |a| match a {
+        Value::Arr(items) => Some(items.as_slice()),
+        _ => None,
+    })
 }
 
 fn opt_uint(
@@ -165,18 +183,31 @@ fn opt_uint(
     Ok(Some(int))
 }
 
-fn kernel_field(v: &Value, pointer: &str) -> Result<Kernel, ApiError> {
-    let name = opt_str(v, pointer, "kernel")?.ok_or_else(|| {
+/// `value`, item `i` of the array `key`, read through `get`; an item `get`
+/// refuses is a `bad_type` rejection (`expected …`) at `/{key}/{i}`.
+fn item<'a, T>(
+    value: &'a Value,
+    key: &str,
+    i: usize,
+    expected: &str,
+    get: impl Fn(&'a Value) -> Option<T>,
+) -> Result<T, ApiError> {
+    get(value).ok_or_else(|| {
         ApiError::new(
-            "missing_field",
-            &format!("{pointer}/kernel"),
-            "a kernel name is required",
+            "bad_type",
+            &format!("/{key}/{i}"),
+            format!("expected {expected}"),
         )
-    })?;
+    })
+}
+
+fn kernel_field(v: &Value) -> Result<Kernel, ApiError> {
+    let name = opt_str(v, "", "kernel")?
+        .ok_or_else(|| ApiError::new("missing_field", "/kernel", "a kernel name is required"))?;
     Kernel::from_name(name).ok_or_else(|| {
         ApiError::new(
             "bad_value",
-            &format!("{pointer}/kernel"),
+            "/kernel",
             format!("unknown kernel {:?}", excerpt(name)),
         )
     })
@@ -189,81 +220,71 @@ fn kernels_field(
     v: &Value,
     absent: Result<Vec<Kernel>, ApiError>,
 ) -> Result<Vec<Kernel>, ApiError> {
-    let items = match v.get("kernels") {
+    let items = match opt_arr(v, "kernels")? {
         None => return absent,
-        Some(Value::Arr(items)) if items.is_empty() => {
+        Some([]) => {
             return Err(ApiError::new(
                 "bad_value",
                 "/kernels",
                 "kernel list must not be empty",
             ))
         }
-        Some(Value::Arr(items)) => items,
-        Some(_) => return Err(ApiError::new("bad_type", "/kernels", "expected an array")),
+        Some(items) => items,
     };
     let mut kernels = Vec::with_capacity(items.len());
-    for (i, item) in items.iter().enumerate() {
-        let at = || format!("/kernels/{i}");
-        let name = item
-            .as_str()
-            .ok_or_else(|| ApiError::new("bad_type", &at(), "expected a string"))?;
-        let k = Kernel::from_name(name).ok_or_else(|| {
-            ApiError::new(
-                "bad_value",
-                &at(),
-                format!("unknown kernel {:?}", excerpt(name)),
-            )
-        })?;
+    for (i, value) in items.iter().enumerate() {
+        let name = item(value, "kernels", i, "a string", Value::as_str)?;
+        let bad = |what| {
+            let message = format!("{what} kernel {:?}", excerpt(name));
+            ApiError::new("bad_value", &format!("/kernels/{i}"), message)
+        };
+        let k = Kernel::from_name(name).ok_or_else(|| bad("unknown"))?;
         if kernels.contains(&k) {
-            return Err(ApiError::new(
-                "bad_value",
-                &at(),
-                format!("duplicate kernel {:?}", excerpt(name)),
-            ));
+            return Err(bad("duplicate"));
         }
         kernels.push(k);
     }
     Ok(kernels)
 }
 
-fn scale_field(v: &Value, pointer: &str) -> Result<Scale, ApiError> {
-    let n = opt_uint(v, pointer, "scale", 1, u64::from(MAX_SCALE))?.map_or_else(
+fn scale_field(v: &Value) -> Result<Scale, ApiError> {
+    let n = opt_uint(v, "", "scale", 1, u64::from(MAX_SCALE))?.map_or_else(
         || Scale::test().n,
         |n| u32::try_from(n).unwrap_or(MAX_SCALE),
     );
     Ok(Scale { n })
 }
 
-/// Parses the optional `"synth"` override object on top of a scenario's
-/// default options.
-fn synth_field(v: &Value, pointer: &str, base: SynthOptions) -> Result<SynthOptions, ApiError> {
+/// Parses the optional `"synth"` override object on top of the job's
+/// base options (a scenario's, or the defaults).
+fn synth_field(v: &Value, base: SynthOptions) -> Result<SynthOptions, ApiError> {
     let Some(synth) = v.get("synth") else {
         return Ok(base);
     };
-    let sp = format!("{pointer}/synth");
+    let sp = "/synth";
     reject_unknown(
         synth,
-        &sp,
-        &["toggle_aware", "reg_bits", "space_budget", "max_dict_bits"],
+        sp,
+        "toggle_aware reg_bits space_budget max_dict_bits",
     )?;
     let mut options = base;
-    if let Some(b) = opt_bool(synth, &sp, "toggle_aware")? {
+    if let Some(b) = opt_bool(synth, sp, "toggle_aware")? {
         options.toggle_aware = b;
     }
-    if let Some(bits) = opt_uint(synth, &sp, "reg_bits", 3, 4)? {
+    if let Some(bits) = opt_uint(synth, sp, "reg_bits", 3, 4)? {
         options.reg_bits = u8::try_from(bits).unwrap_or(4);
     }
-    if let Some(budget) = opt_f64(synth, &sp, "space_budget")? {
+    if let Some(budget) = opt_f64(synth, sp, "space_budget")? {
         if !(budget > 0.0 && budget <= 1.0) {
             return Err(ApiError::new(
                 "bad_value",
-                &format!("{sp}/space_budget"),
+                "/synth/space_budget",
                 format!("expected a fraction in (0, 1], got {budget}"),
             ));
         }
         options.space_budget = budget;
     }
-    if let Some(bits) = opt_uint(synth, &sp, "max_dict_bits", 0, 12)? {
+    if let Some(bits) = opt_uint(synth, sp, "max_dict_bits", 0, 12)? {
         options.max_dict_bits = u8::try_from(bits).unwrap_or(6);
     }
     Ok(options)
@@ -276,34 +297,28 @@ fn synth_field(v: &Value, pointer: &str, base: SynthOptions) -> Result<SynthOpti
 /// with the `ISA` verification family before any work is scheduled, so a
 /// spec with ambiguous or non-round-tripping forms is rejected as a 400,
 /// never handed to the pipeline.
-fn isa_field(v: &Value, pointer: &str) -> Result<Option<Arc<SpecCatalog>>, ApiError> {
-    let Some(text) = opt_str(v, pointer, "isa")? else {
+fn isa_field(v: &Value) -> Result<Option<Arc<SpecCatalog>>, ApiError> {
+    let Some(text) = opt_str(v, "", "isa")? else {
         return Ok(None);
     };
     if text == "builtin" {
         return Ok(None);
     }
-    let ip = format!("{pointer}/isa");
-    let spec = IsaSpec::load(text)
-        .map_err(|e| ApiError::new("bad_value", &ip, format!("ISA spec rejected: {e}")))?;
+    let bad = |message| ApiError::new("bad_value", "/isa", message);
+    let spec = IsaSpec::load(text).map_err(|e| bad(format!("ISA spec rejected: {e}")))?;
     if spec.word_width != 32 {
-        return Err(ApiError::new(
-            "bad_value",
-            &ip,
-            format!(
-                "only a 32-bit (AR32-shaped) spec can replace the execution ISA, \
-                 got word-width {}",
-                spec.word_width
-            ),
-        ));
+        return Err(bad(format!(
+            "only a 32-bit (AR32-shaped) spec can replace the execution ISA, \
+             got word-width {}",
+            spec.word_width
+        )));
     }
     let report = fits_verify::lint_spec(&spec);
     if let Some(d) = report.diagnostics.first() {
-        return Err(ApiError::new(
-            "bad_value",
-            &ip,
-            format!("ISA spec fails validation ({}): {}", d.code, d.message),
-        ));
+        return Err(bad(format!(
+            "ISA spec fails validation ({}): {}",
+            d.code, d.message
+        )));
     }
     if spec.hash() == builtin_ar32().hash() {
         // Respellings of the shipped spec share the builtin cache slots.
@@ -315,532 +330,391 @@ fn isa_field(v: &Value, pointer: &str) -> Result<Option<Arc<SpecCatalog>>, ApiEr
     })))
 }
 
-/// The canonical-key suffix for a request's ISA catalog: empty for the
-/// built-in catalog (keeping pre-existing keys stable), the catalog's
-/// content hash otherwise.
-fn isa_suffix(isa: Option<&Arc<SpecCatalog>>) -> String {
-    isa.map_or_else(String::new, |c| format!("|isa={}", c.hash_hex()))
+/// The one rejection of an unknown preset name, quoted through
+/// [`excerpt`].
+fn unknown_preset(name: &str) -> ApiError {
+    let message = format!(
+        "unknown scenario preset {:?} (presets: {})",
+        excerpt(name),
+        PRESET_NAMES.join(" ")
+    );
+    ApiError::new("bad_value", "/scenario", message)
 }
 
-fn scenario_fields(v: &Value, pointer: &str) -> Result<(String, ScenarioSpec), ApiError> {
-    let preset = opt_str(v, pointer, "scenario")?
-        .unwrap_or("sa1100")
-        .to_string();
-    let tech = opt_str(v, pointer, "tech")?;
-    let icache = opt_uint(v, pointer, "icache_bytes", 256, 1 << 24)?
+/// The one rejection of an unknown tech-node name at `pointer`, quoted
+/// through [`excerpt`].
+fn unknown_tech(pointer: &str, name: &str) -> ApiError {
+    let message = format!(
+        "unknown tech node {:?} (nodes: {})",
+        excerpt(name),
+        TECH_NAMES.join(" ")
+    );
+    ApiError::new("bad_value", pointer, message)
+}
+
+/// Resolves the `scenario`/`tech`/`icache_bytes` machine point. The key is
+/// built from the *request* fields, not the derived scenario id — two
+/// presets can resize to the same id while describing different machines.
+fn scenario_fields(v: &Value) -> Result<(String, ScenarioSpec), ApiError> {
+    let preset = opt_str(v, "", "scenario")?.unwrap_or("sa1100");
+    let tech = opt_str(v, "", "tech")?;
+    let icache = opt_uint(v, "", "icache_bytes", 256, 1 << 24)?
         .map(|n| u32::try_from(n).unwrap_or(u32::MAX));
-    let spec = ScenarioSpec::resolve(&preset, tech, icache).map_err(|e| {
-        let field = match &e {
-            fits_scenario::ScenarioError::UnknownPreset { .. } => "scenario",
-            fits_scenario::ScenarioError::UnknownTech { .. } => "tech",
-            _ => "icache_bytes",
-        };
-        ApiError::new("bad_value", &format!("{pointer}/{field}"), e.to_string())
+    let spec = ScenarioSpec::resolve(preset, tech, icache).map_err(|e| match e {
+        ScenarioError::UnknownPreset { name } => unknown_preset(&name),
+        ScenarioError::UnknownTech { name } => unknown_tech("/tech", &name),
+        e => ApiError::new("bad_value", "/icache_bytes", e.to_string()),
     })?;
-    let canonical = format!(
+    let key = format!(
         "preset={preset}|tech={}|icache={}",
         tech.unwrap_or("-"),
         icache.map_or_else(|| "-".to_string(), |b| b.to_string()),
     );
-    Ok((canonical, spec))
+    Ok((key, spec))
+}
+
+fn join<T: std::fmt::Display>(items: impl IntoIterator<Item = T>, sep: &str) -> String {
+    items
+        .into_iter()
+        .map(|x| x.to_string())
+        .collect::<Vec<_>>()
+        .join(sep)
+}
+
+fn kernel_names(kernels: &[Kernel]) -> String {
+    join(kernels.iter().map(|k| k.name()), "+")
 }
 
 // ---------------------------------------------------------------- requests
 
-/// A validated `POST /synthesize` request.
-#[derive(Clone, Debug)]
-pub struct SynthesizeRequest {
-    /// The kernel to synthesize for.
-    pub kernel: Kernel,
-    /// Workload scale.
-    pub scale: Scale,
-    /// Synthesis options (defaults overlaid with the `"synth"` object).
-    pub synth: SynthOptions,
-    /// A replacement ISA catalog, or `None` for the shipped one.
-    pub isa: Option<Arc<SpecCatalog>>,
+/// What a POST request asks for beyond the fields every endpoint shares.
+#[derive(Debug)]
+pub(crate) enum Job {
+    Synthesize {
+        kernel: Kernel,
+    },
+    Simulate {
+        kernel: Kernel,
+        scenario: Box<ScenarioSpec>,
+    },
+    /// Static I-cache analysis, with the traced differential unless
+    /// `static_only`.
+    Analyze {
+        kernel: Kernel,
+        scenario: Box<ScenarioSpec>,
+        static_only: bool,
+    },
+    Sweep {
+        kernels: Vec<Kernel>,
+        matrix: ScenarioMatrix,
+    },
+    /// One shared ISA over `kernels` (sorted by name) with canonical
+    /// integer `weights`; zero-weight members are gone from both.
+    SynthesizeMulti {
+        kernels: Vec<Kernel>,
+        weights: Vec<u64>,
+        epsilon: f64,
+    },
 }
 
-impl SynthesizeRequest {
-    /// Parses and validates a request body.
-    ///
-    /// # Errors
-    ///
-    /// A structured [`ApiError`] naming the offending field.
-    pub fn from_body(body: &str) -> Result<SynthesizeRequest, ApiError> {
-        let v = parse_body(body)?;
-        reject_unknown(&v, "", &["kernel", "scale", "synth", "isa"])?;
-        Ok(SynthesizeRequest {
-            kernel: kernel_field(&v, "")?,
-            scale: scale_field(&v, "")?,
-            synth: synth_field(&v, "", SynthOptions::default())?,
-            isa: isa_field(&v, "")?,
-        })
-    }
+/// A parsed job, the synthesis options `"synth"` overrides, and the job's
+/// part of the canonical key (which carries `n`, the scale).
+type Parsed = (Job, SynthOptions, String);
 
-    /// The canonical request string (the cache/coalescing key).
-    #[must_use]
-    pub fn canonical(&self) -> String {
-        format!(
-            "synthesize|kernel={}|n={}|synth={}{}",
-            self.kernel.name(),
-            self.scale.n,
-            synth_key(&self.synth),
-            isa_suffix(self.isa.as_ref()),
-        )
-    }
+/// Parses a job's own fields of a body at scale `n`.
+type ParseJob = fn(&Value, u32) -> Result<Parsed, ApiError>;
+
+/// Every POST endpoint: its target, the top-level fields its body may
+/// carry (space-separated, in the order an `unknown_field` rejection lists
+/// them), and the parser of its job. The router and
+/// [`PostRequest::from_target`] both read this table; nothing else names a
+/// POST target.
+pub(crate) const POST_ENDPOINTS: [(&str, &str, ParseJob); 5] = [
+    ("/synthesize", "kernel scale synth isa", synthesize_job),
+    (
+        "/simulate",
+        "kernel scale scenario tech icache_bytes synth isa",
+        |v, n| machine_job(v, n, false),
+    ),
+    (
+        "/analyze",
+        "kernel scale scenario tech icache_bytes synth static_only isa",
+        |v, n| machine_job(v, n, true),
+    ),
+    (
+        "/sweep",
+        "kernels scale scenario icache_bytes tech synth isa",
+        sweep_job,
+    ),
+    (
+        "/synthesize-multi",
+        "kernels weights scale epsilon synth isa",
+        multi_job,
+    ),
+];
+
+fn synthesize_job(v: &Value, n: u32) -> Result<Parsed, ApiError> {
+    let kernel = kernel_field(v)?;
+    let key = format!("kernel={}|n={n}", kernel.name());
+    Ok((Job::Synthesize { kernel }, SynthOptions::default(), key))
 }
 
-/// A validated `POST /simulate` request.
-#[derive(Clone, Debug)]
-pub struct SimulateRequest {
-    /// The kernel to run.
-    pub kernel: Kernel,
-    /// Workload scale.
-    pub scale: Scale,
-    /// The resolved machine point.
-    pub scenario: ScenarioSpec,
-    /// Synthesis options for the FITS side.
-    pub synth: SynthOptions,
-    /// A replacement ISA catalog, or `None` for the shipped one.
-    pub isa: Option<Arc<SpecCatalog>>,
-    scenario_canonical: String,
-}
-
-impl SimulateRequest {
-    /// Parses and validates a request body.
-    ///
-    /// # Errors
-    ///
-    /// A structured [`ApiError`] naming the offending field.
-    pub fn from_body(body: &str) -> Result<SimulateRequest, ApiError> {
-        let v = parse_body(body)?;
-        reject_unknown(
-            &v,
-            "",
-            &[
-                "kernel",
-                "scale",
-                "scenario",
-                "tech",
-                "icache_bytes",
-                "synth",
-                "isa",
-            ],
-        )?;
-        let kernel = kernel_field(&v, "")?;
-        let scale = scale_field(&v, "")?;
-        let (scenario_canonical, scenario) = scenario_fields(&v, "")?;
-        let synth = synth_field(&v, "", scenario.synth.clone())?;
-        Ok(SimulateRequest {
+/// `/simulate` and `/analyze`: one kernel at one machine point. The traced
+/// differential of `/analyze` is deterministic, so its body stays a pure
+/// function of the key with `static_only = false` too.
+fn machine_job(v: &Value, n: u32, analyze: bool) -> Result<Parsed, ApiError> {
+    let kernel = kernel_field(v)?;
+    let (scenario_key, scenario) = scenario_fields(v)?;
+    let base = scenario.synth.clone();
+    let mut key = format!("kernel={}|n={n}|{scenario_key}", kernel.name());
+    let scenario = Box::new(scenario);
+    let job = if analyze {
+        let static_only = opt_bool(v, "", "static_only")?.unwrap_or(false);
+        key.push_str(&format!("|static={static_only}"));
+        Job::Analyze {
             kernel,
-            scale,
             scenario,
-            synth,
-            isa: isa_field(&v, "")?,
-            scenario_canonical,
-        })
-    }
-
-    /// The canonical request string (the cache/coalescing key). Built from
-    /// the *request* fields, not the derived scenario id — two presets can
-    /// resize to the same id while describing different machines.
-    #[must_use]
-    pub fn canonical(&self) -> String {
-        format!(
-            "simulate|kernel={}|n={}|{}|synth={}{}",
-            self.kernel.name(),
-            self.scale.n,
-            self.scenario_canonical,
-            synth_key(&self.synth),
-            isa_suffix(self.isa.as_ref()),
-        )
-    }
-}
-
-/// A validated `POST /analyze` request — static I-cache analysis for one
-/// kernel, with an optional traced differential.
-#[derive(Clone, Debug)]
-pub struct AnalyzeRequest {
-    /// The kernel to analyze.
-    pub kernel: Kernel,
-    /// Workload scale.
-    pub scale: Scale,
-    /// The resolved machine point.
-    pub scenario: ScenarioSpec,
-    /// Synthesis options for the FITS side.
-    pub synth: SynthOptions,
-    /// Skip the traced run and report the static bounds alone.
-    pub static_only: bool,
-    /// A replacement ISA catalog, or `None` for the shipped one.
-    pub isa: Option<Arc<SpecCatalog>>,
-    scenario_canonical: String,
-}
-
-impl AnalyzeRequest {
-    /// Parses and validates a request body.
-    ///
-    /// # Errors
-    ///
-    /// A structured [`ApiError`] naming the offending field.
-    pub fn from_body(body: &str) -> Result<AnalyzeRequest, ApiError> {
-        let v = parse_body(body)?;
-        reject_unknown(
-            &v,
-            "",
-            &[
-                "kernel",
-                "scale",
-                "scenario",
-                "tech",
-                "icache_bytes",
-                "synth",
-                "static_only",
-                "isa",
-            ],
-        )?;
-        let kernel = kernel_field(&v, "")?;
-        let scale = scale_field(&v, "")?;
-        let (scenario_canonical, scenario) = scenario_fields(&v, "")?;
-        let synth = synth_field(&v, "", scenario.synth.clone())?;
-        let static_only = opt_bool(&v, "", "static_only")?.unwrap_or(false);
-        Ok(AnalyzeRequest {
-            kernel,
-            scale,
-            scenario,
-            synth,
             static_only,
-            isa: isa_field(&v, "")?,
-            scenario_canonical,
-        })
-    }
-
-    /// The canonical request string (the cache/coalescing key). The traced
-    /// differential is deterministic, so the body stays a pure function of
-    /// this key even with `static_only = false`.
-    #[must_use]
-    pub fn canonical(&self) -> String {
-        format!(
-            "analyze|kernel={}|n={}|{}|static={}|synth={}{}",
-            self.kernel.name(),
-            self.scale.n,
-            self.scenario_canonical,
-            self.static_only,
-            synth_key(&self.synth),
-            isa_suffix(self.isa.as_ref()),
-        )
-    }
+        }
+    } else {
+        Job::Simulate { kernel, scenario }
+    };
+    Ok((job, base, key))
 }
 
-/// A validated `POST /sweep` request.
-#[derive(Clone, Debug)]
-pub struct SweepRequest {
-    /// Kernels to sweep (defaults to the full suite).
-    pub kernels: Vec<Kernel>,
-    /// Workload scale.
-    pub scale: Scale,
-    /// The grid to measure.
-    pub matrix: ScenarioMatrix,
-    /// Synthesis options shared by every point.
-    pub synth: SynthOptions,
-    /// A replacement ISA catalog, or `None` for the shipped one.
-    pub isa: Option<Arc<SpecCatalog>>,
+/// `/sweep`: the `tech × icache_bytes` grid over one preset for a kernel
+/// set (defaults: the full suite, 16 KB and 8 KB, the preset's node).
+fn sweep_job(v: &Value, n: u32) -> Result<Parsed, ApiError> {
+    let kernels = kernels_field(v, Ok(Kernel::ALL.to_vec()))?;
+    let preset = opt_str(v, "", "scenario")?.unwrap_or("sa1100");
+    let base = ScenarioSpec::preset(preset).ok_or_else(|| unknown_preset(preset))?;
+
+    let sizes: Vec<u32> = match opt_arr(v, "icache_bytes")? {
+        None => vec![16 * 1024, 8 * 1024],
+        Some(items) if items.is_empty() || items.len() > MAX_SWEEP_SIZES => {
+            return Err(ApiError::new(
+                "bad_value",
+                "/icache_bytes",
+                format!("expected 1..={MAX_SWEEP_SIZES} sizes"),
+            ))
+        }
+        Some(items) => items
+            .iter()
+            .enumerate()
+            .map(|(i, value)| {
+                let n = item(value, "icache_bytes", i, "a number", Value::as_f64)?;
+                if n.fract() != 0.0 || !(256.0..=16_777_216.0).contains(&n) {
+                    return Err(ApiError::new(
+                        "bad_value",
+                        &format!("/icache_bytes/{i}"),
+                        format!("expected an integer byte count in [256, 2^24], got {n}"),
+                    ));
+                }
+                #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+                Ok(n as u32)
+            })
+            .collect::<Result<_, _>>()?,
+    };
+
+    let nodes: Vec<(String, TechParams)> = match opt_arr(v, "tech")? {
+        None => vec![(base.tech_name.clone(), base.tech.clone())],
+        Some([]) => {
+            return Err(ApiError::new(
+                "bad_value",
+                "/tech",
+                "tech list must not be empty",
+            ))
+        }
+        Some(items) => items
+            .iter()
+            .enumerate()
+            .map(|(i, value)| {
+                let name = item(value, "tech", i, "a string", Value::as_str)?;
+                let params =
+                    tech_preset(name).ok_or_else(|| unknown_tech(&format!("/tech/{i}"), name))?;
+                Ok((name.to_string(), params))
+            })
+            .collect::<Result<_, _>>()?,
+    };
+
+    let matrix = ScenarioMatrix::grid(&base, &sizes, &nodes)
+        .map_err(|e| ApiError::new("bad_value", "/icache_bytes", e.to_string()))?;
+    let key = format!(
+        "kernels={}|n={n}|preset={preset}|sizes={}|tech={}",
+        kernel_names(&kernels),
+        join(&sizes, ","),
+        join(nodes.iter().map(|(name, _)| name), ","),
+    );
+    Ok((Job::Sweep { kernels, matrix }, base.synth, key))
+}
+
+/// `/synthesize-multi`: one *shared* FITS ISA synthesized from the merged
+/// profile of a kernel set, with per-kernel regression bounds, priced at
+/// the SA-1100 reference scenario.
+///
+/// The member list is sorted by kernel name and the weight vector is
+/// canonicalized ([`fits_core::canonical_weights`]) before the key is
+/// built, so `{a, b}` and `{b, a}` share a key, `{1, 1}` and `{2, 2}`
+/// share a key, and zero-weight members vanish from both the key and the
+/// response (a request with an extra zero-weight kernel *is* the smaller
+/// request). Degenerate weight vectors (all-zero, negative, non-finite)
+/// are `bad_value` rejections at `/weights`, never panics.
+fn multi_job(v: &Value, n: u32) -> Result<Parsed, ApiError> {
+    let raw_kernels = kernels_field(
+        v,
+        Err(ApiError::new(
+            "missing_field",
+            "/kernels",
+            "a kernel list is required",
+        )),
+    )?;
+    let raw_weights: Vec<f64> = match opt_arr(v, "weights")? {
+        None => vec![1.0; raw_kernels.len()],
+        Some(items) if items.len() != raw_kernels.len() => {
+            return Err(ApiError::new(
+                "bad_value",
+                "/weights",
+                format!("{} weights for {} kernels", items.len(), raw_kernels.len()),
+            ))
+        }
+        Some(items) => items
+            .iter()
+            .enumerate()
+            .map(|(i, value)| item(value, "weights", i, "a number", Value::as_f64))
+            .collect::<Result<_, _>>()?,
+    };
+
+    // Sort members by kernel name, then canonicalize the weights in
+    // that order: the cache key must not depend on request spelling.
+    let mut paired: Vec<(Kernel, f64)> = raw_kernels.into_iter().zip(raw_weights).collect();
+    paired.sort_by_key(|(k, _)| k.name());
+    let sorted_weights: Vec<f64> = paired.iter().map(|(_, w)| *w).collect();
+    let canon = fits_core::canonical_weights(&sorted_weights)
+        .map_err(|e| ApiError::new("bad_value", "/weights", e.to_string()))?;
+    // `canonical_weights` keeps dropped positions as zeros so callers
+    // can line warnings up with inputs; the cache key must not.
+    let (kernels, weights): (Vec<Kernel>, Vec<u64>) = paired
+        .iter()
+        .zip(&canon.weights)
+        .enumerate()
+        .filter(|(i, _)| !canon.dropped.contains(i))
+        .map(|(_, ((k, _), &w))| (*k, w))
+        .unzip();
+
+    let epsilon = opt_f64(v, "", "epsilon")?.unwrap_or(1.0);
+    if !epsilon.is_finite() || !(-1.0..=100.0).contains(&epsilon) {
+        return Err(ApiError::new(
+            "bad_value",
+            "/epsilon",
+            format!("expected a number in [-1, 100], got {epsilon}"),
+        ));
+    }
+    let key = format!(
+        "kernels={}|w={}|n={n}|eps={epsilon:.6}",
+        kernel_names(&kernels),
+        join(&weights, ","),
+    );
+    let job = Job::SynthesizeMulti {
+        kernels,
+        weights,
+        epsilon,
+    };
+    Ok((job, SynthOptions::default(), key))
+}
+
+/// A validated POST request: the endpoint's job, the fields every
+/// endpoint shares, and the canonical request string (the cache and
+/// coalescing key) `{endpoint}|{job fields}|synth=…{isa}`.
+#[derive(Debug)]
+pub struct PostRequest {
+    job: Job,
+    scale: Scale,
+    synth: SynthOptions,
+    isa: Option<Arc<SpecCatalog>>,
     canonical: String,
 }
 
-impl SweepRequest {
-    /// Parses and validates a request body.
+impl PostRequest {
+    /// Parses and validates the body for `target` (`"/synthesize"` etc.);
+    /// `Ok(None)` when `target` is not a POST endpoint.
     ///
     /// # Errors
     ///
-    /// A structured [`ApiError`] naming the offending field.
-    pub fn from_body(body: &str) -> Result<SweepRequest, ApiError> {
+    /// A structured [`ApiError`] naming the offending field. The shared
+    /// fields are checked once, in one order for every endpoint: unknown
+    /// fields, `scale`, the job's own fields, `synth`, `isa`.
+    pub fn from_target(target: &str, body: &str) -> Result<Option<PostRequest>, ApiError> {
+        let Some(&(_, allowed, parse_job)) = POST_ENDPOINTS.iter().find(|row| row.0 == target)
+        else {
+            return Ok(None);
+        };
         let v = parse_body(body)?;
-        reject_unknown(
-            &v,
-            "",
-            &[
-                "kernels",
-                "scale",
-                "scenario",
-                "icache_bytes",
-                "tech",
-                "synth",
-                "isa",
-            ],
-        )?;
-        let scale = scale_field(&v, "")?;
-
-        let kernels = kernels_field(&v, Ok(Kernel::ALL.to_vec()))?;
-
-        let preset = opt_str(&v, "", "scenario")?.unwrap_or("sa1100").to_string();
-        let base = ScenarioSpec::preset(&preset).ok_or_else(|| {
-            ApiError::new(
-                "bad_value",
-                "/scenario",
-                format!(
-                    "unknown scenario preset {preset:?} (presets: {})",
-                    PRESET_NAMES.join(" ")
-                ),
-            )
-        })?;
-
-        let sizes: Vec<u32> = match v.get("icache_bytes") {
-            None => vec![16 * 1024, 8 * 1024],
-            Some(Value::Arr(items)) => {
-                if items.is_empty() || items.len() > MAX_SWEEP_SIZES {
-                    return Err(ApiError::new(
-                        "bad_value",
-                        "/icache_bytes",
-                        format!("expected 1..={MAX_SWEEP_SIZES} sizes"),
-                    ));
-                }
-                let mut sizes = Vec::with_capacity(items.len());
-                for (i, item) in items.iter().enumerate() {
-                    let n = item.as_f64().ok_or_else(|| {
-                        ApiError::new(
-                            "bad_type",
-                            &format!("/icache_bytes/{i}"),
-                            "expected a number",
-                        )
-                    })?;
-                    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-                    let bytes = n as u32;
-                    if n.fract() != 0.0 || !(256.0..=16_777_216.0).contains(&n) {
-                        return Err(ApiError::new(
-                            "bad_value",
-                            &format!("/icache_bytes/{i}"),
-                            format!("expected an integer byte count in [256, 2^24], got {n}"),
-                        ));
-                    }
-                    sizes.push(bytes);
-                }
-                sizes
-            }
-            Some(_) => {
-                return Err(ApiError::new(
-                    "bad_type",
-                    "/icache_bytes",
-                    "expected an array",
-                ))
-            }
-        };
-
-        let tech_names: Vec<String> = match v.get("tech") {
-            None => vec![base.tech_name.clone()],
-            Some(Value::Arr(items)) => {
-                if items.is_empty() {
-                    return Err(ApiError::new(
-                        "bad_value",
-                        "/tech",
-                        "tech list must not be empty",
-                    ));
-                }
-                let mut names = Vec::with_capacity(items.len());
-                for (i, item) in items.iter().enumerate() {
-                    let name = item.as_str().ok_or_else(|| {
-                        ApiError::new("bad_type", &format!("/tech/{i}"), "expected a string")
-                    })?;
-                    if tech_preset(name).is_none() {
-                        return Err(ApiError::new(
-                            "bad_value",
-                            &format!("/tech/{i}"),
-                            format!(
-                                "unknown tech node {:?} (nodes: {})",
-                                excerpt(name),
-                                TECH_NAMES.join(" ")
-                            ),
-                        ));
-                    }
-                    names.push(name.to_string());
-                }
-                names
-            }
-            Some(_) => return Err(ApiError::new("bad_type", "/tech", "expected an array")),
-        };
-
-        let synth = synth_field(&v, "", base.synth.clone())?;
-        let isa = isa_field(&v, "")?;
-        let nodes: Vec<(String, fits_power::TechParams)> = tech_names
-            .iter()
-            .map(|name| {
-                let params = tech_preset(name).unwrap_or_else(|| base.tech.clone());
-                (name.clone(), params)
-            })
-            .collect();
-        let matrix = ScenarioMatrix::grid(&base, &sizes, &nodes)
-            .map_err(|e| ApiError::new("bad_value", "/icache_bytes", e.to_string()))?;
-
+        reject_unknown(&v, "", allowed)?;
+        let scale = scale_field(&v)?;
+        let (job, base, job_key) = parse_job(&v, scale.n)?;
+        let synth = synth_field(&v, base)?;
+        let isa = isa_field(&v)?;
         let canonical = format!(
-            "sweep|kernels={}|n={}|preset={}|sizes={}|tech={}|synth={}{}",
-            kernels
-                .iter()
-                .map(|k| k.name())
-                .collect::<Vec<_>>()
-                .join("+"),
-            scale.n,
-            preset,
-            sizes
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join(","),
-            tech_names.join(","),
+            "{}|{job_key}|synth={}{}",
+            &target[1..],
             synth_key(&synth),
-            isa_suffix(isa.as_ref()),
+            // Empty for the built-in catalog, keeping its keys stable.
+            isa.as_ref()
+                .map_or_else(String::new, |c| format!("|isa={}", c.hash_hex())),
         );
-        Ok(SweepRequest {
-            kernels,
+        Ok(Some(PostRequest {
+            job,
             scale,
-            matrix,
             synth,
             isa,
             canonical,
-        })
+        }))
     }
 
-    /// The canonical request string (the cache/coalescing key).
+    /// The canonical request string.
     #[must_use]
     pub fn canonical(&self) -> String {
         self.canonical.clone()
     }
-}
 
-/// A validated `POST /synthesize-multi` request: one *shared* FITS ISA
-/// synthesized from the merged profile of a kernel set, with per-kernel
-/// regression bounds, priced at the SA-1100 reference scenario.
-///
-/// The member list is sorted by kernel name and the weight vector is
-/// canonicalized ([`fits_core::canonical_weights`]) before the cache key
-/// is built, so `{a, b}` and `{b, a}` share a key, `{1, 1}` and `{2, 2}`
-/// share a key, and zero-weight members vanish from both the key and the
-/// response (a request with an extra zero-weight kernel *is* the smaller
-/// request).
-#[derive(Clone, Debug)]
-pub struct SynthesizeMultiRequest {
-    /// Retained member kernels, sorted by name.
-    pub kernels: Vec<Kernel>,
-    /// Canonical integer weights, aligned with `kernels`.
-    pub weights: Vec<u64>,
-    /// Workload scale.
-    pub scale: Scale,
-    /// Per-kernel regression bound (dynamic expansion vs. the per-app
-    /// optimum).
-    pub epsilon: f64,
-    /// Synthesis options shared by the merged synthesis and the per-app
-    /// baselines.
-    pub synth: SynthOptions,
-    /// A replacement ISA catalog, or `None` for the shipped one.
-    pub isa: Option<Arc<SpecCatalog>>,
-}
+    /// The synthesis options of the request (selects the [`Artifacts`]
+    /// cache in the pool).
+    #[must_use]
+    pub fn synth(&self) -> &SynthOptions {
+        &self.synth
+    }
 
-impl SynthesizeMultiRequest {
-    /// Parses and validates a request body.
+    /// The replacement ISA catalog of the request, if any (selects the
+    /// [`Artifacts`] cache in the pool together with
+    /// [`PostRequest::synth`]).
+    #[must_use]
+    pub fn isa(&self) -> Option<&Arc<SpecCatalog>> {
+        self.isa.as_ref()
+    }
+
+    /// Runs the computation against an artifact cache configured for
+    /// [`PostRequest::synth`]: the response body, a pure function of the
+    /// request given a deterministic pipeline.
     ///
     /// # Errors
     ///
-    /// A structured [`ApiError`] naming the offending field. Degenerate
-    /// weight vectors (all-zero, negative, non-finite) are `bad_value`
-    /// rejections at `/weights`, never panics.
-    pub fn from_body(body: &str) -> Result<SynthesizeMultiRequest, ApiError> {
-        let v = parse_body(body)?;
-        reject_unknown(
-            &v,
-            "",
-            &["kernels", "weights", "scale", "epsilon", "synth", "isa"],
-        )?;
-        let raw_kernels = kernels_field(
-            &v,
-            Err(ApiError::new(
-                "missing_field",
-                "/kernels",
-                "a kernel list is required",
-            )),
-        )?;
-        let raw_weights: Vec<f64> = match v.get("weights") {
-            None => vec![1.0; raw_kernels.len()],
-            Some(Value::Arr(items)) => {
-                if items.len() != raw_kernels.len() {
-                    return Err(ApiError::new(
-                        "bad_value",
-                        "/weights",
-                        format!("{} weights for {} kernels", items.len(), raw_kernels.len()),
-                    ));
-                }
-                let mut weights = Vec::with_capacity(items.len());
-                for (i, item) in items.iter().enumerate() {
-                    weights.push(item.as_f64().ok_or_else(|| {
-                        ApiError::new("bad_type", &format!("/weights/{i}"), "expected a number")
-                    })?);
-                }
-                weights
-            }
-            Some(_) => return Err(ApiError::new("bad_type", "/weights", "expected an array")),
-        };
-
-        // Sort members by kernel name, then canonicalize the weights in
-        // that order: the cache key must not depend on request spelling.
-        let mut paired: Vec<(Kernel, f64)> = raw_kernels.into_iter().zip(raw_weights).collect();
-        paired.sort_by_key(|(k, _)| k.name());
-        let sorted_weights: Vec<f64> = paired.iter().map(|(_, w)| *w).collect();
-        let canon = fits_core::canonical_weights(&sorted_weights)
-            .map_err(|e| ApiError::new("bad_value", "/weights", e.to_string()))?;
-        let kernels: Vec<Kernel> = paired
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !canon.dropped.contains(i))
-            .map(|(_, (k, _))| *k)
-            .collect();
-        // `canonical_weights` keeps dropped positions as zeros so callers
-        // can line warnings up with inputs; the cache key must not.
-        let weights: Vec<u64> = canon
-            .weights
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !canon.dropped.contains(i))
-            .map(|(_, &w)| w)
-            .collect();
-
-        let epsilon = opt_f64(&v, "", "epsilon")?.unwrap_or(1.0);
-        if !epsilon.is_finite() || !(-1.0..=100.0).contains(&epsilon) {
-            return Err(ApiError::new(
-                "bad_value",
-                "/epsilon",
-                format!("expected a number in [-1, 100], got {epsilon}"),
-            ));
+    /// Propagates pipeline failures ([`ExperimentError`]), reported as 500s.
+    pub fn compute(&self, artifacts: &Artifacts) -> Result<String, ExperimentError> {
+        match &self.job {
+            Job::Synthesize { kernel } => synthesize_body(artifacts, self, *kernel),
+            Job::Simulate { kernel, scenario } => simulate_body(artifacts, self, *kernel, scenario),
+            Job::Analyze {
+                kernel,
+                scenario,
+                static_only,
+            } => analyze_body(artifacts, self, *kernel, scenario, *static_only),
+            Job::Sweep { kernels, matrix } => sweep_body(artifacts, self, kernels, matrix),
+            Job::SynthesizeMulti {
+                kernels,
+                weights,
+                epsilon,
+            } => synthesize_multi_body(artifacts, self, kernels, weights, *epsilon),
         }
-
-        Ok(SynthesizeMultiRequest {
-            kernels,
-            weights,
-            scale: scale_field(&v, "")?,
-            epsilon,
-            synth: synth_field(&v, "", SynthOptions::default())?,
-            isa: isa_field(&v, "")?,
-        })
-    }
-
-    /// The canonical request string (the cache/coalescing key): sorted
-    /// member names plus the *canonical* weight vector, so proportional
-    /// weight spellings coalesce onto one execution.
-    #[must_use]
-    pub fn canonical(&self) -> String {
-        format!(
-            "synthesize-multi|kernels={}|w={}|n={}|eps={:.6}|synth={}{}",
-            self.kernels
-                .iter()
-                .map(|k| k.name())
-                .collect::<Vec<_>>()
-                .join("+"),
-            self.weights
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join(","),
-            self.scale.n,
-            self.epsilon,
-            synth_key(&self.synth),
-            isa_suffix(self.isa.as_ref()),
-        )
     }
 }
 
@@ -868,13 +742,14 @@ fn synth_json(options: &SynthOptions) -> String {
 /// # Errors
 ///
 /// Propagates pipeline failures ([`ExperimentError`]), reported as 500s.
-pub fn synthesize_body(
+fn synthesize_body(
     artifacts: &Artifacts,
-    req: &SynthesizeRequest,
+    req: &PostRequest,
+    kernel: Kernel,
 ) -> Result<String, ExperimentError> {
-    let program = artifacts.program(req.kernel, req.scale)?;
-    let flow = artifacts.flow(req.kernel, req.scale)?;
-    let thumb = artifacts.thumb(req.kernel, req.scale)?;
+    let program = artifacts.program(kernel, req.scale)?;
+    let flow = artifacts.flow(kernel, req.scale)?;
+    let thumb = artifacts.thumb(kernel, req.scale)?;
     Ok(format!(
         "{{\n  \"schema\": \"{SCHEMA}\",\n  \"endpoint\": \"synthesize\",\n  \
          \"kernel\": \"{kernel}\",\n  \"scale_n\": {n},\n  \"synth\": {synth},\n  \
@@ -882,7 +757,7 @@ pub fn synthesize_body(
          \"fits_code_bytes\": {fits},\n  \"code_ratio\": {ratio:.6},\n  \
          \"mapping_static\": {ms:.6},\n  \"mapping_dynamic\": {md:.6},\n  \
          \"config_bits\": {bits},\n  \"iterations\": {iters}\n}}\n",
-        kernel = escape(req.kernel.name()),
+        kernel = escape(kernel.name()),
         n = req.scale.n,
         synth = synth_json(&req.synth),
         arm = program.code_bytes(),
@@ -902,14 +777,16 @@ pub fn synthesize_body(
 /// # Errors
 ///
 /// Propagates pipeline failures ([`ExperimentError`]), reported as 500s.
-pub fn simulate_body(
+fn simulate_body(
     artifacts: &Artifacts,
-    req: &SimulateRequest,
+    req: &PostRequest,
+    kernel: Kernel,
+    scenario: &ScenarioSpec,
 ) -> Result<String, ExperimentError> {
     let matrix = ScenarioMatrix {
-        scenarios: vec![req.scenario.clone()],
+        scenarios: vec![scenario.clone()],
     };
-    let mut runs = run_kernel_scenarios(artifacts, req.kernel, req.scale, &matrix)?;
+    let mut runs = run_kernel_scenarios(artifacts, kernel, req.scale, &matrix)?;
     let run = runs.remove(0);
     let arm = fits_bench::IsaAggregate::from_run(&run.arm);
     let fits = fits_bench::IsaAggregate::from_run(&run.fits);
@@ -918,7 +795,7 @@ pub fn simulate_body(
          \"kernel\": \"{kernel}\",\n  \"scale_n\": {n},\n  \"scenario\": \"{id}\",\n  \
          \"icache_bytes\": {bytes},\n  \"tech\": \"{tech}\",\n  \"arm\": {arm},\n  \
          \"fits\": {fits},\n  \"icache_saving\": {isave:.6},\n  \"chip_saving\": {csave:.6}\n}}\n",
-        kernel = escape(req.kernel.name()),
+        kernel = escape(kernel.name()),
         n = req.scale.n,
         id = escape(run.scenario.id()),
         bytes = run.scenario.icache.size_bytes,
@@ -939,25 +816,22 @@ pub fn simulate_body(
 /// # Errors
 ///
 /// Propagates pipeline failures ([`ExperimentError`]), reported as 500s.
-pub fn analyze_body(
+fn analyze_body(
     artifacts: &Artifacts,
-    req: &AnalyzeRequest,
+    req: &PostRequest,
+    kernel: Kernel,
+    scenario: &ScenarioSpec,
+    static_only: bool,
 ) -> Result<String, ExperimentError> {
-    let report = cache_bounds_report_with(
-        artifacts,
-        &[req.kernel],
-        &req.scenario,
-        req.scale,
-        !req.static_only,
-    )?;
+    let report = cache_bounds_report_with(artifacts, &[kernel], scenario, req.scale, !static_only)?;
     Ok(format!(
         "{{\n  \"schema\": \"{SCHEMA}\",\n  \"endpoint\": \"analyze\",\n  \
          \"kernel\": \"{kernel}\",\n  \"scale_n\": {n},\n  \"scenario\": \"{id}\",\n  \
          \"traced\": {traced},\n  \"sound\": {sound},\n  \"report\": {report}\n}}\n",
-        kernel = escape(req.kernel.name()),
+        kernel = escape(kernel.name()),
         n = req.scale.n,
-        id = escape(req.scenario.id()),
-        traced = !req.static_only,
+        id = escape(scenario.id()),
+        traced = !static_only,
         sound = report.is_sound(),
         report = report.render_json(),
     ))
@@ -970,8 +844,13 @@ pub fn analyze_body(
 /// # Errors
 ///
 /// Propagates pipeline failures ([`ExperimentError`]), reported as 500s.
-pub fn sweep_body(artifacts: &Artifacts, req: &SweepRequest) -> Result<String, ExperimentError> {
-    let results = fits_bench::run_sweep_with(artifacts, &req.kernels, req.scale, &req.matrix)?;
+fn sweep_body(
+    artifacts: &Artifacts,
+    req: &PostRequest,
+    kernels: &[Kernel],
+    matrix: &ScenarioMatrix,
+) -> Result<String, ExperimentError> {
+    let results = fits_bench::run_sweep_with(artifacts, kernels, req.scale, matrix)?;
     let kernels: Vec<String> = results
         .kernels
         .iter()
@@ -1033,44 +912,42 @@ pub fn sweep_body(artifacts: &Artifacts, req: &SweepRequest) -> Result<String, E
 /// # Errors
 ///
 /// Propagates pipeline failures ([`ExperimentError`]), reported as 500s.
-pub fn synthesize_multi_body(
+fn synthesize_multi_body(
     artifacts: &Artifacts,
-    req: &SynthesizeMultiRequest,
+    req: &PostRequest,
+    kernels: &[Kernel],
+    weights: &[u64],
+    epsilon: f64,
 ) -> Result<String, ExperimentError> {
     let scenario = ScenarioSpec::sa1100();
     let head = format!(
         "{{\n  \"schema\": \"{SCHEMA}\",\n  \"endpoint\": \"synthesize-multi\",\n  \
          \"kernels\": [{kernels}],\n  \"weights\": [{weights}],\n  \"scale_n\": {n},\n  \
          \"epsilon\": {eps:.6},\n  \"synth\": {synth}",
-        kernels = req
-            .kernels
+        kernels = kernels
             .iter()
             .map(|k| format!("\"{}\"", escape(k.name())))
             .collect::<Vec<_>>()
             .join(", "),
-        weights = req
-            .weights
+        weights = weights
             .iter()
             .map(ToString::to_string)
             .collect::<Vec<_>>()
             .join(", "),
         n = req.scale.n,
-        eps = req.epsilon,
+        eps = epsilon,
         synth = synth_json(&req.synth),
     );
 
-    let programs: Vec<_> = req
-        .kernels
+    let programs: Vec<_> = kernels
         .iter()
         .map(|&k| artifacts.program(k, req.scale))
         .collect::<Result<_, _>>()?;
-    let profiles: Vec<_> = req
-        .kernels
+    let profiles: Vec<_> = kernels
         .iter()
         .map(|&k| artifacts.profile(k, req.scale))
         .collect::<Result<_, _>>()?;
-    let members: Vec<MultiMember<'_>> = req
-        .kernels
+    let members: Vec<MultiMember<'_>> = kernels
         .iter()
         .zip(&programs)
         .zip(&profiles)
@@ -1081,10 +958,10 @@ pub fn synthesize_multi_body(
         })
         .collect();
     #[allow(clippy::cast_precision_loss)]
-    let weights: Vec<f64> = req.weights.iter().map(|&w| w as f64).collect();
+    let weights: Vec<f64> = weights.iter().map(|&w| w as f64).collect();
     let options = MultiOptions {
         synth: req.synth.clone(),
-        epsilon: req.epsilon,
+        epsilon,
         ..MultiOptions::default()
     };
 
@@ -1113,7 +990,7 @@ pub fn synthesize_multi_body(
         scenarios: vec![scenario.clone()],
     };
     let mut member_bodies = Vec::with_capacity(outcome.members.len());
-    for (kernel, m) in req.kernels.iter().zip(&outcome.members) {
+    for (kernel, m) in kernels.iter().zip(&outcome.members) {
         let shared_run = price_shared_member(&m.translation.fits, &scenario)?;
         let mut solo_runs = run_kernel_scenarios(artifacts, *kernel, req.scale, &matrix)?;
         let solo_run = solo_runs.remove(0).fits;
@@ -1353,104 +1230,6 @@ pub fn validate_flight_json(text: &str) -> Result<usize, String> {
     })
 }
 
-/// Dispatches a parsed POST request: canonical key plus the computation to
-/// run on miss. The server's cache/coalesce layer wraps this.
-pub enum PostRequest {
-    /// `POST /synthesize`.
-    Synthesize(SynthesizeRequest),
-    /// `POST /simulate`.
-    Simulate(Box<SimulateRequest>),
-    /// `POST /analyze`.
-    Analyze(Box<AnalyzeRequest>),
-    /// `POST /sweep`.
-    Sweep(SweepRequest),
-    /// `POST /synthesize-multi`.
-    SynthesizeMulti(SynthesizeMultiRequest),
-}
-
-impl PostRequest {
-    /// Parses the body for `target` (`"/synthesize"` etc.).
-    ///
-    /// # Errors
-    ///
-    /// A structured [`ApiError`]; `None` canonical target returns
-    /// `Err(None)`-free: unknown targets are handled by the router before
-    /// this is called.
-    pub fn from_target(target: &str, body: &str) -> Result<Option<PostRequest>, ApiError> {
-        match target {
-            "/synthesize" => Ok(Some(PostRequest::Synthesize(SynthesizeRequest::from_body(
-                body,
-            )?))),
-            "/simulate" => Ok(Some(PostRequest::Simulate(Box::new(
-                SimulateRequest::from_body(body)?,
-            )))),
-            "/analyze" => Ok(Some(PostRequest::Analyze(Box::new(
-                AnalyzeRequest::from_body(body)?,
-            )))),
-            "/sweep" => Ok(Some(PostRequest::Sweep(SweepRequest::from_body(body)?))),
-            "/synthesize-multi" => Ok(Some(PostRequest::SynthesizeMulti(
-                SynthesizeMultiRequest::from_body(body)?,
-            ))),
-            _ => Ok(None),
-        }
-    }
-
-    /// The canonical request string.
-    #[must_use]
-    pub fn canonical(&self) -> String {
-        match self {
-            PostRequest::Synthesize(r) => r.canonical(),
-            PostRequest::Simulate(r) => r.canonical(),
-            PostRequest::Analyze(r) => r.canonical(),
-            PostRequest::Sweep(r) => r.canonical(),
-            PostRequest::SynthesizeMulti(r) => r.canonical(),
-        }
-    }
-
-    /// The synthesis options of the request (selects the [`Artifacts`]
-    /// cache in the pool).
-    #[must_use]
-    pub fn synth(&self) -> &SynthOptions {
-        match self {
-            PostRequest::Synthesize(r) => &r.synth,
-            PostRequest::Simulate(r) => &r.synth,
-            PostRequest::Analyze(r) => &r.synth,
-            PostRequest::Sweep(r) => &r.synth,
-            PostRequest::SynthesizeMulti(r) => &r.synth,
-        }
-    }
-
-    /// The replacement ISA catalog of the request, if any (selects the
-    /// [`Artifacts`] cache in the pool together with
-    /// [`PostRequest::synth`]).
-    #[must_use]
-    pub fn isa(&self) -> Option<&Arc<SpecCatalog>> {
-        match self {
-            PostRequest::Synthesize(r) => r.isa.as_ref(),
-            PostRequest::Simulate(r) => r.isa.as_ref(),
-            PostRequest::Analyze(r) => r.isa.as_ref(),
-            PostRequest::Sweep(r) => r.isa.as_ref(),
-            PostRequest::SynthesizeMulti(r) => r.isa.as_ref(),
-        }
-    }
-
-    /// Runs the computation against an artifact cache configured for
-    /// [`PostRequest::synth`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates pipeline failures ([`ExperimentError`]).
-    pub fn compute(&self, artifacts: &Artifacts) -> Result<String, ExperimentError> {
-        match self {
-            PostRequest::Synthesize(r) => synthesize_body(artifacts, r),
-            PostRequest::Simulate(r) => simulate_body(artifacts, r),
-            PostRequest::Analyze(r) => analyze_body(artifacts, r),
-            PostRequest::Sweep(r) => sweep_body(artifacts, r),
-            PostRequest::SynthesizeMulti(r) => synthesize_multi_body(artifacts, r),
-        }
-    }
-}
-
 /// Shared artifact-pool handle the server threads use.
 pub type SharedArtifacts = Arc<fits_bench::ArtifactsPool>;
 
@@ -1458,50 +1237,80 @@ pub type SharedArtifacts = Arc<fits_bench::ArtifactsPool>;
 mod tests {
     use super::*;
 
+    fn post(target: &str, body: &str) -> PostRequest {
+        PostRequest::from_target(target, body).unwrap().unwrap()
+    }
+
+    fn reject(target: &str, body: &str) -> ApiError {
+        PostRequest::from_target(target, body).unwrap_err()
+    }
+
+    /// The kernels a request names, in job order.
+    fn kernels(req: &PostRequest) -> &[Kernel] {
+        match &req.job {
+            Job::Synthesize { kernel }
+            | Job::Simulate { kernel, .. }
+            | Job::Analyze { kernel, .. } => std::slice::from_ref(kernel),
+            Job::Sweep { kernels, .. } | Job::SynthesizeMulti { kernels, .. } => kernels,
+        }
+    }
+
+    /// The machine point of a `/simulate` or `/analyze` request.
+    fn scenario(req: &PostRequest) -> &ScenarioSpec {
+        match &req.job {
+            Job::Simulate { scenario, .. } | Job::Analyze { scenario, .. } => scenario,
+            job => panic!("no machine point in {job:?}"),
+        }
+    }
+
     #[test]
     fn defaults_parse_from_an_empty_body() {
-        let req = SynthesizeRequest::from_body("{\"kernel\": \"crc32\"}").unwrap();
-        assert_eq!(req.kernel, Kernel::Crc32);
+        let req = post("/synthesize", "{\"kernel\": \"crc32\"}");
+        assert_eq!(kernels(&req), [Kernel::Crc32]);
         assert_eq!(req.scale.n, Scale::test().n);
         assert_eq!(
             req.canonical(),
             "synthesize|kernel=crc32|n=64|synth=toggle:1,reg:4,space:1.000000,dict:6"
         );
-        let sim = SimulateRequest::from_body("{\"kernel\": \"sha\"}").unwrap();
-        assert_eq!(sim.scenario.id(), "sa1100-i16k");
-        let sweep = SweepRequest::from_body("").unwrap();
-        assert_eq!(sweep.kernels.len(), Kernel::ALL.len());
-        assert_eq!(sweep.matrix.len(), 2, "default grid: two sizes, one node");
+        let sim = post("/simulate", "{\"kernel\": \"sha\"}");
+        assert_eq!(scenario(&sim).id(), "sa1100-i16k");
+        let sweep = post("/sweep", "");
+        assert_eq!(kernels(&sweep).len(), Kernel::ALL.len());
+        let Job::Sweep { matrix, .. } = &sweep.job else {
+            panic!("not a sweep")
+        };
+        assert_eq!(matrix.len(), 2, "default grid: two sizes, one node");
     }
 
     #[test]
     fn structured_errors_point_at_the_offending_field() {
-        let err = SynthesizeRequest::from_body("{\"kernel\": \"nope\"}").unwrap_err();
+        let err = reject("/synthesize", "{\"kernel\": \"nope\"}");
         assert_eq!((err.code, err.pointer.as_str()), ("bad_value", "/kernel"));
-        let err = SynthesizeRequest::from_body("{}").unwrap_err();
+        let err = reject("/synthesize", "{}");
         assert_eq!(
             (err.code, err.pointer.as_str()),
             ("missing_field", "/kernel")
         );
-        let err = SynthesizeRequest::from_body("not json").unwrap_err();
+        let err = reject("/synthesize", "not json");
         assert_eq!(err.code, "parse");
-        let err = SynthesizeRequest::from_body("{\"kernel\": \"crc32\", \"scal\": 2}").unwrap_err();
+        let err = reject("/synthesize", "{\"kernel\": \"crc32\", \"scal\": 2}");
         assert_eq!((err.code, err.pointer.as_str()), ("unknown_field", "/scal"));
-        let err = SynthesizeRequest::from_body("{\"kernel\": \"crc32\", \"scale\": 9999999}")
-            .unwrap_err();
+        let err = reject("/synthesize", "{\"kernel\": \"crc32\", \"scale\": 9999999}");
         assert_eq!((err.code, err.pointer.as_str()), ("bad_value", "/scale"));
-        let err =
-            SynthesizeRequest::from_body("{\"kernel\": \"crc32\", \"synth\": {\"reg_bits\": 7}}")
-                .unwrap_err();
+        let err = reject(
+            "/synthesize",
+            "{\"kernel\": \"crc32\", \"synth\": {\"reg_bits\": 7}}",
+        );
         assert_eq!(
             (err.code, err.pointer.as_str()),
             ("bad_value", "/synth/reg_bits")
         );
-        let err =
-            SimulateRequest::from_body("{\"kernel\": \"crc32\", \"tech\": \"3nm\"}").unwrap_err();
+        let err = reject("/simulate", "{\"kernel\": \"crc32\", \"tech\": \"3nm\"}");
         assert_eq!((err.code, err.pointer.as_str()), ("bad_value", "/tech"));
-        let err = SimulateRequest::from_body("{\"kernel\": \"crc32\", \"icache_bytes\": 1000}")
-            .unwrap_err();
+        let err = reject(
+            "/simulate",
+            "{\"kernel\": \"crc32\", \"icache_bytes\": 1000}",
+        );
         assert_eq!(err.pointer, "/icache_bytes");
         // Every rejection renders as a schema-valid error body.
         assert_eq!(validate_serve_json(&err.body()).unwrap(), "error");
@@ -1510,25 +1319,66 @@ mod tests {
     #[test]
     fn oversized_request_text_is_quoted_not_echoed() {
         let huge = "k".repeat(256 * 1024);
+        let field = |name: &str| format!("{{\"kernel\": \"crc32\", \"{name}\": \"{huge}\"}}");
+        // An unknown key is quoted inside the pointer itself.
+        let quoted_key = format!("{}… (262144 bytes)", &huge[..64]);
         let errors = [
             (
-                SynthesizeRequest::from_body(&format!("{{\"kernel\": \"{huge}\"}}")).unwrap_err(),
-                "/kernel",
+                reject("/synthesize", &format!("{{\"kernel\": \"{huge}\"}}")),
+                "bad_value",
+                "/kernel".to_string(),
             ),
             (
-                SynthesizeRequest::from_body(&format!(
-                    "{{\"kernel\": \"crc32\", \"isa\": \"{huge}\"}}"
-                ))
-                .unwrap_err(),
-                "/isa",
+                reject("/synthesize", &field("isa")),
+                "bad_value",
+                "/isa".to_string(),
             ),
             (
-                SweepRequest::from_body(&format!("{{\"kernels\": [\"{huge}\"]}}")).unwrap_err(),
-                "/kernels/0",
+                reject("/sweep", &format!("{{\"kernels\": [\"{huge}\"]}}")),
+                "bad_value",
+                "/kernels/0".to_string(),
+            ),
+            (
+                reject("/simulate", &field("scenario")),
+                "bad_value",
+                "/scenario".to_string(),
+            ),
+            (
+                reject("/simulate", &field("tech")),
+                "bad_value",
+                "/tech".to_string(),
+            ),
+            (
+                reject("/analyze", &field("scenario")),
+                "bad_value",
+                "/scenario".to_string(),
+            ),
+            (
+                reject("/analyze", &field("tech")),
+                "bad_value",
+                "/tech".to_string(),
+            ),
+            (
+                reject("/sweep", &format!("{{\"scenario\": \"{huge}\"}}")),
+                "bad_value",
+                "/scenario".to_string(),
+            ),
+            (
+                reject("/sweep", &format!("{{\"{huge}\": 1}}")),
+                "unknown_field",
+                format!("/{quoted_key}"),
+            ),
+            (
+                reject(
+                    "/synthesize",
+                    &format!("{{\"kernel\": \"crc32\", \"synth\": {{\"{huge}\": 1}}}}"),
+                ),
+                "unknown_field",
+                format!("/synth/{quoted_key}"),
             ),
         ];
-        for (err, pointer) in errors {
-            assert_eq!((err.code, err.pointer.as_str()), ("bad_value", pointer));
+        for (err, code, pointer) in errors {
+            assert_eq!((err.code, err.pointer.as_str()), (code, pointer.as_str()));
             let body = err.body();
             assert!(body.len() < 1024, "{pointer}: {} byte body", body.len());
             assert!(body.contains("(262144 bytes)"), "{body}");
@@ -1536,22 +1386,118 @@ mod tests {
         }
     }
 
+    /// The exact canonical keys (and so `X-Fits-Key`s) of one request per
+    /// endpoint and per key-shaping field: any change here splits or
+    /// merges cache entries.
+    #[test]
+    fn canonical_keys_are_pinned() {
+        const DEFAULT: &str = "synth=toggle:1,reg:4,space:1.000000,dict:6";
+        let pins = [
+            (
+                "/synthesize",
+                "{\"kernel\": \"crc32\"}",
+                format!("synthesize|kernel=crc32|n=64|{DEFAULT}"),
+            ),
+            (
+                "/synthesize",
+                "{\"kernel\": \"sha\", \"scale\": 16, \"synth\": {\"toggle_aware\": false, \
+                 \"reg_bits\": 3, \"space_budget\": 0.5, \"max_dict_bits\": 4}}",
+                "synthesize|kernel=sha|n=16|synth=toggle:0,reg:3,space:0.500000,dict:4".to_string(),
+            ),
+            (
+                "/simulate",
+                "{\"kernel\": \"crc32\"}",
+                format!("simulate|kernel=crc32|n=64|preset=sa1100|tech=-|icache=-|{DEFAULT}"),
+            ),
+            (
+                "/simulate",
+                "{\"kernel\": \"crc32\", \"scenario\": \"small-embedded\", \"tech\": \"65nm\", \
+                 \"icache_bytes\": 8192}",
+                format!(
+                    "simulate|kernel=crc32|n=64|preset=small-embedded|tech=65nm|icache=8192|\
+                     {DEFAULT}"
+                ),
+            ),
+            (
+                "/simulate",
+                "{\"kernel\": \"sha\", \"scenario\": \"modern-node\", \
+                 \"synth\": {\"space_budget\": 0.5}}",
+                "simulate|kernel=sha|n=64|preset=modern-node|tech=-|icache=-|\
+                 synth=toggle:1,reg:4,space:0.500000,dict:6"
+                    .to_string(),
+            ),
+            (
+                "/analyze",
+                "{\"kernel\": \"crc32\"}",
+                format!(
+                    "analyze|kernel=crc32|n=64|preset=sa1100|tech=-|icache=-|static=false|{DEFAULT}"
+                ),
+            ),
+            (
+                "/analyze",
+                "{\"kernel\": \"fft\", \"static_only\": true, \"icache_bytes\": 4096}",
+                format!(
+                    "analyze|kernel=fft|n=64|preset=sa1100|tech=-|icache=4096|static=true|{DEFAULT}"
+                ),
+            ),
+            (
+                "/sweep",
+                "",
+                format!(
+                    "sweep|kernels=bitcount+qsort+susan.smoothing+susan.edges+susan.corners+\
+                     jpeg.dct+lame.filter+dijkstra+patricia+stringsearch+ispell+blowfish.enc+\
+                     blowfish.dec+rijndael.enc+rijndael.dec+sha+adpcm.enc+adpcm.dec+crc32+fft+gsm|\
+                     n=64|preset=sa1100|sizes=16384,8192|tech=sa1100|{DEFAULT}"
+                ),
+            ),
+            (
+                "/sweep",
+                "{\"kernels\": [\"sha\", \"crc32\"], \"scenario\": \"modern-node\", \
+                 \"icache_bytes\": [16384, 4096], \"tech\": [\"65nm\", \"sa1100\"], \"scale\": 32}",
+                format!(
+                    "sweep|kernels=sha+crc32|n=32|preset=modern-node|sizes=16384,4096|\
+                     tech=65nm,sa1100|{DEFAULT}"
+                ),
+            ),
+            (
+                "/synthesize-multi",
+                "{\"kernels\": [\"sha\", \"fft\", \"crc32\"], \"weights\": [2, 0, 4], \
+                 \"epsilon\": 0.25}",
+                format!("synthesize-multi|kernels=crc32+sha|w=2,1|n=64|eps=0.250000|{DEFAULT}"),
+            ),
+            (
+                "/synthesize-multi",
+                "{\"kernels\": [\"crc32\", \"sha\"], \"synth\": {\"max_dict_bits\": 8}}",
+                "synthesize-multi|kernels=crc32+sha|w=1,1|n=64|eps=1.000000|\
+                 synth=toggle:1,reg:4,space:1.000000,dict:8"
+                    .to_string(),
+            ),
+        ];
+        for (target, body, key) in pins {
+            assert_eq!(post(target, body).canonical(), key, "{target} {body}");
+        }
+    }
+
     #[test]
     fn canonical_keys_separate_distinct_requests() {
-        let a = SimulateRequest::from_body("{\"kernel\": \"crc32\"}").unwrap();
-        let b = SimulateRequest::from_body(
+        let a = post("/simulate", "{\"kernel\": \"crc32\"}");
+        let b = post(
+            "/simulate",
             "{\"kernel\": \"crc32\", \"scenario\": \"small-embedded\", \"icache_bytes\": 8192}",
-        )
-        .unwrap();
-        let c =
-            SimulateRequest::from_body("{\"kernel\": \"crc32\", \"icache_bytes\": 8192}").unwrap();
+        );
+        let c = post(
+            "/simulate",
+            "{\"kernel\": \"crc32\", \"icache_bytes\": 8192}",
+        );
         assert_ne!(a.canonical(), b.canonical());
         // Same derived id family would collide; the canonical key must not.
         assert_ne!(b.canonical(), c.canonical());
         // Identical requests written with different whitespace/field order
         // share a key.
-        let d = SimulateRequest::from_body("{  \"icache_bytes\": 8192, \"kernel\": \"crc32\" }")
-            .unwrap();
+        let d = post(
+            "/simulate",
+            "{  \"icache_bytes\": 8192, \"kernel\": \"crc32\" }",
+        );
         assert_eq!(c.canonical(), d.canonical());
     }
 
@@ -1560,16 +1506,20 @@ mod tests {
         use fits_isa::spec::AR32_SPEC_TEXT;
         // "builtin", an omitted field, and text hash-identical to the
         // shipped spec all share the default canonical key.
-        let default = SynthesizeRequest::from_body("{\"kernel\": \"crc32\"}").unwrap();
-        let named =
-            SynthesizeRequest::from_body("{\"kernel\": \"crc32\", \"isa\": \"builtin\"}").unwrap();
+        let default = post("/synthesize", "{\"kernel\": \"crc32\"}");
+        let named = post(
+            "/synthesize",
+            "{\"kernel\": \"crc32\", \"isa\": \"builtin\"}",
+        );
         assert!(named.isa.is_none());
         assert_eq!(default.canonical(), named.canonical());
-        let verbatim = SynthesizeRequest::from_body(&format!(
-            "{{\"kernel\": \"crc32\", \"isa\": \"{}\"}}",
-            escape(AR32_SPEC_TEXT)
-        ))
-        .unwrap();
+        let verbatim = post(
+            "/synthesize",
+            &format!(
+                "{{\"kernel\": \"crc32\", \"isa\": \"{}\"}}",
+                escape(AR32_SPEC_TEXT)
+            ),
+        );
         assert!(verbatim.isa.is_none());
         assert_eq!(verbatim.canonical(), default.canonical());
         // A respelled document is a different machine description: it gets
@@ -1579,28 +1529,34 @@ mod tests {
             "# --- branches and traps (respelled) ---",
         );
         assert_ne!(respelled, AR32_SPEC_TEXT, "mutation needle went stale");
-        let custom = SynthesizeRequest::from_body(&format!(
-            "{{\"kernel\": \"crc32\", \"isa\": \"{}\"}}",
-            escape(&respelled)
-        ))
-        .unwrap();
+        let custom = post(
+            "/synthesize",
+            &format!(
+                "{{\"kernel\": \"crc32\", \"isa\": \"{}\"}}",
+                escape(&respelled)
+            ),
+        );
         let catalog = custom.isa.clone().expect("a custom catalog");
         assert!(custom
             .canonical()
             .contains(&format!("|isa={}", catalog.hash_hex())));
         assert_ne!(custom.canonical(), default.canonical());
         // The other three endpoints key on it the same way.
-        let sim = SimulateRequest::from_body(&format!(
-            "{{\"kernel\": \"crc32\", \"isa\": \"{}\"}}",
-            escape(&respelled)
-        ))
-        .unwrap();
+        let sim = post(
+            "/simulate",
+            &format!(
+                "{{\"kernel\": \"crc32\", \"isa\": \"{}\"}}",
+                escape(&respelled)
+            ),
+        );
         assert!(sim.canonical().contains("|isa="));
-        let sweep = SweepRequest::from_body(&format!(
-            "{{\"kernels\": [\"crc32\"], \"isa\": \"{}\"}}",
-            escape(&respelled)
-        ))
-        .unwrap();
+        let sweep = post(
+            "/sweep",
+            &format!(
+                "{{\"kernels\": [\"crc32\"], \"isa\": \"{}\"}}",
+                escape(&respelled)
+            ),
+        );
         assert!(sweep.canonical().contains("|isa="));
     }
 
@@ -1608,24 +1564,29 @@ mod tests {
     fn bad_isa_specs_are_rejected_before_any_work() {
         use fits_isa::spec::{AR32_SPEC_TEXT, T16_SPEC_TEXT};
         // Unparseable text is a structured 400 at /isa.
-        let err =
-            SynthesizeRequest::from_body("{\"kernel\": \"crc32\", \"isa\": \"isa broken {\"}")
-                .unwrap_err();
+        let err = reject(
+            "/synthesize",
+            "{\"kernel\": \"crc32\", \"isa\": \"isa broken {\"}",
+        );
         assert_eq!((err.code, err.pointer.as_str()), ("bad_value", "/isa"));
         // A 16-bit spec cannot replace the 32-bit execution ISA.
-        let err = SynthesizeRequest::from_body(&format!(
-            "{{\"kernel\": \"crc32\", \"isa\": \"{}\"}}",
-            escape(T16_SPEC_TEXT)
-        ))
-        .unwrap_err();
+        let err = reject(
+            "/synthesize",
+            &format!(
+                "{{\"kernel\": \"crc32\", \"isa\": \"{}\"}}",
+                escape(T16_SPEC_TEXT)
+            ),
+        );
         assert!(err.message.contains("word-width"), "{}", err.message);
         // A spec the ISA lint family rejects never reaches the pipeline.
         let unbound = AR32_SPEC_TEXT.replace("form swi", "form swj");
-        let err = SynthesizeRequest::from_body(&format!(
-            "{{\"kernel\": \"crc32\", \"isa\": \"{}\"}}",
-            escape(&unbound)
-        ))
-        .unwrap_err();
+        let err = reject(
+            "/synthesize",
+            &format!(
+                "{{\"kernel\": \"crc32\", \"isa\": \"{}\"}}",
+                escape(&unbound)
+            ),
+        );
         assert_eq!((err.code, err.pointer.as_str()), ("bad_value", "/isa"));
         assert!(err.message.contains("ISA004"), "{}", err.message);
         assert_eq!(validate_serve_json(&err.body()).unwrap(), "error");
@@ -1633,15 +1594,18 @@ mod tests {
 
     #[test]
     fn sweep_request_builds_the_grid() {
-        let req = SweepRequest::from_body(
+        let req = post(
+            "/sweep",
             "{\"kernels\": [\"crc32\", \"sha\"], \"scale\": 64, \
              \"icache_bytes\": [16384, 8192], \"tech\": [\"sa1100\", \"65nm\"]}",
-        )
-        .unwrap();
-        assert_eq!(req.kernels, vec![Kernel::Crc32, Kernel::Sha]);
-        assert_eq!(req.matrix.len(), 4);
+        );
+        assert_eq!(kernels(&req), [Kernel::Crc32, Kernel::Sha]);
+        let Job::Sweep { matrix, .. } = &req.job else {
+            panic!("not a sweep")
+        };
+        assert_eq!(matrix.len(), 4);
         assert!(req.canonical().contains("kernels=crc32+sha"));
-        let err = SweepRequest::from_body("{\"kernels\": [\"crc32\", \"crc32\"]}").unwrap_err();
+        let err = reject("/sweep", "{\"kernels\": [\"crc32\", \"crc32\"]}");
         assert_eq!(err.pointer, "/kernels/1");
     }
 
@@ -1683,21 +1647,24 @@ mod tests {
 
     #[test]
     fn analyze_request_parses_and_keys_on_the_trace_mode() {
-        let traced = AnalyzeRequest::from_body("{\"kernel\": \"crc32\"}").unwrap();
-        assert!(!traced.static_only);
-        assert_eq!(traced.scenario.id(), "sa1100-i16k");
-        let fast =
-            AnalyzeRequest::from_body("{\"kernel\": \"crc32\", \"static_only\": true}").unwrap();
+        let traced = post("/analyze", "{\"kernel\": \"crc32\"}");
+        assert!(matches!(
+            traced.job,
+            Job::Analyze {
+                static_only: false,
+                ..
+            }
+        ));
+        assert_eq!(scenario(&traced).id(), "sa1100-i16k");
+        let fast = post("/analyze", "{\"kernel\": \"crc32\", \"static_only\": true}");
         // Same machine point, different computation — distinct cache keys.
         assert_ne!(traced.canonical(), fast.canonical());
-        let err =
-            AnalyzeRequest::from_body("{\"kernel\": \"crc32\", \"static_only\": 1}").unwrap_err();
+        let err = reject("/analyze", "{\"kernel\": \"crc32\", \"static_only\": 1}");
         assert_eq!(
             (err.code, err.pointer.as_str()),
             ("bad_type", "/static_only")
         );
-        let err =
-            AnalyzeRequest::from_body("{\"kernel\": \"crc32\", \"traced\": true}").unwrap_err();
+        let err = reject("/analyze", "{\"kernel\": \"crc32\", \"traced\": true}");
         assert_eq!(err.code, "unknown_field");
     }
 
@@ -1705,16 +1672,16 @@ mod tests {
     fn multi_request_canonicalizes_members_and_weights() {
         // Member order and proportional weight spellings must not split
         // the cache: all four of these are the same computation.
-        let a = SynthesizeMultiRequest::from_body("{\"kernels\": [\"crc32\", \"sha\"]}").unwrap();
-        let b = SynthesizeMultiRequest::from_body("{\"kernels\": [\"sha\", \"crc32\"]}").unwrap();
-        let c = SynthesizeMultiRequest::from_body(
+        let a = post("/synthesize-multi", "{\"kernels\": [\"crc32\", \"sha\"]}");
+        let b = post("/synthesize-multi", "{\"kernels\": [\"sha\", \"crc32\"]}");
+        let c = post(
+            "/synthesize-multi",
             "{\"kernels\": [\"crc32\", \"sha\"], \"weights\": [2, 2]}",
-        )
-        .unwrap();
-        let d = SynthesizeMultiRequest::from_body(
+        );
+        let d = post(
+            "/synthesize-multi",
             "{\"kernels\": [\"crc32\", \"sha\"], \"weights\": [0.5, 0.5]}",
-        )
-        .unwrap();
+        );
         assert_eq!(a.canonical(), b.canonical());
         assert_eq!(a.canonical(), c.canonical());
         assert_eq!(a.canonical(), d.canonical());
@@ -1723,59 +1690,60 @@ mod tests {
             .starts_with("synthesize-multi|kernels=crc32+sha|w=1,1|"));
         // A zero-weight member vanishes: the padded request IS the
         // two-member request, key and all.
-        let padded = SynthesizeMultiRequest::from_body(
+        let padded = post(
+            "/synthesize-multi",
             "{\"kernels\": [\"crc32\", \"fft\", \"sha\"], \"weights\": [3, 0, 3]}",
-        )
-        .unwrap();
-        assert_eq!(padded.kernels, vec![Kernel::Crc32, Kernel::Sha]);
+        );
+        assert_eq!(kernels(&padded), [Kernel::Crc32, Kernel::Sha]);
         assert_eq!(padded.canonical(), a.canonical());
         // Unequal weights are a genuinely different merged profile.
-        let skewed = SynthesizeMultiRequest::from_body(
+        let skewed = post(
+            "/synthesize-multi",
             "{\"kernels\": [\"crc32\", \"sha\"], \"weights\": [1, 3]}",
-        )
-        .unwrap();
+        );
         assert_ne!(skewed.canonical(), a.canonical());
         // ...and so is a different epsilon.
-        let tight = SynthesizeMultiRequest::from_body(
+        let tight = post(
+            "/synthesize-multi",
             "{\"kernels\": [\"crc32\", \"sha\"], \"epsilon\": 0.25}",
-        )
-        .unwrap();
+        );
         assert_ne!(tight.canonical(), a.canonical());
     }
 
     #[test]
     fn multi_request_rejects_degenerate_inputs() {
-        let err = SynthesizeMultiRequest::from_body("{}").unwrap_err();
+        let err = reject("/synthesize-multi", "{}");
         assert_eq!(
             (err.code, err.pointer.as_str()),
             ("missing_field", "/kernels")
         );
-        let err = SynthesizeMultiRequest::from_body("{\"kernels\": []}").unwrap_err();
+        let err = reject("/synthesize-multi", "{\"kernels\": []}");
         assert_eq!((err.code, err.pointer.as_str()), ("bad_value", "/kernels"));
-        let err =
-            SynthesizeMultiRequest::from_body("{\"kernels\": [\"crc32\", \"crc32\"]}").unwrap_err();
+        let err = reject("/synthesize-multi", "{\"kernels\": [\"crc32\", \"crc32\"]}");
         assert_eq!(
             (err.code, err.pointer.as_str()),
             ("bad_value", "/kernels/1")
         );
         // Weight vector shape and content errors all point at /weights.
-        let err = SynthesizeMultiRequest::from_body(
+        let err = reject(
+            "/synthesize-multi",
             "{\"kernels\": [\"crc32\", \"sha\"], \"weights\": [1]}",
-        )
-        .unwrap_err();
+        );
         assert_eq!((err.code, err.pointer.as_str()), ("bad_value", "/weights"));
-        let err = SynthesizeMultiRequest::from_body(
+        let err = reject(
+            "/synthesize-multi",
             "{\"kernels\": [\"crc32\", \"sha\"], \"weights\": [0, 0]}",
-        )
-        .unwrap_err();
+        );
         assert_eq!((err.code, err.pointer.as_str()), ("bad_value", "/weights"));
-        let err = SynthesizeMultiRequest::from_body(
+        let err = reject(
+            "/synthesize-multi",
             "{\"kernels\": [\"crc32\", \"sha\"], \"weights\": [1, -1]}",
-        )
-        .unwrap_err();
+        );
         assert_eq!((err.code, err.pointer.as_str()), ("bad_value", "/weights"));
-        let err = SynthesizeMultiRequest::from_body("{\"kernels\": [\"crc32\"], \"epsilon\": 200}")
-            .unwrap_err();
+        let err = reject(
+            "/synthesize-multi",
+            "{\"kernels\": [\"crc32\"], \"epsilon\": 200}",
+        );
         assert_eq!((err.code, err.pointer.as_str()), ("bad_value", "/epsilon"));
         // Every rejection renders as a schema-valid error body.
         assert_eq!(validate_serve_json(&err.body()).unwrap(), "error");
@@ -1783,27 +1751,32 @@ mod tests {
 
     #[test]
     fn multi_body_matches_the_library_pricing_bit_for_bit() {
-        let req =
-            SynthesizeMultiRequest::from_body("{\"kernels\": [\"bitcount\", \"crc32\"]}").unwrap();
+        let req = post(
+            "/synthesize-multi",
+            "{\"kernels\": [\"bitcount\", \"crc32\"]}",
+        );
         let artifacts = Artifacts::new().with_synth(req.synth.clone());
-        let body = synthesize_multi_body(&artifacts, &req).unwrap();
+        let body = req.compute(&artifacts).unwrap();
         assert_eq!(validate_serve_json(&body).unwrap(), "synthesize-multi");
         assert!(body.contains("\"accepted\": true"));
 
         // Re-run the same synthesis through the library entry points and
         // demand the service body embeds the identical rendered numbers.
-        let programs: Vec<_> = req
-            .kernels
+        let Job::SynthesizeMulti {
+            kernels, epsilon, ..
+        } = &req.job
+        else {
+            panic!("not a multi request")
+        };
+        let programs: Vec<_> = kernels
             .iter()
             .map(|&k| artifacts.program(k, req.scale).unwrap())
             .collect();
-        let profiles: Vec<_> = req
-            .kernels
+        let profiles: Vec<_> = kernels
             .iter()
             .map(|&k| artifacts.profile(k, req.scale).unwrap())
             .collect();
-        let members: Vec<MultiMember<'_>> = req
-            .kernels
+        let members: Vec<MultiMember<'_>> = kernels
             .iter()
             .zip(&programs)
             .zip(&profiles)
@@ -1815,7 +1788,7 @@ mod tests {
             .collect();
         let options = MultiOptions {
             synth: req.synth.clone(),
-            epsilon: req.epsilon,
+            epsilon: *epsilon,
             ..MultiOptions::default()
         };
         let outcome = synthesize_multi(&members, &[1.0, 1.0], &options).unwrap();
@@ -1831,17 +1804,17 @@ mod tests {
             );
         }
         // Identical requests produce identical bytes on recomputation.
-        assert_eq!(body, synthesize_multi_body(&artifacts, &req).unwrap());
+        assert_eq!(body, req.compute(&artifacts).unwrap());
     }
 
     #[test]
     fn multi_body_renders_a_regression_rejection_as_a_200() {
-        let req = SynthesizeMultiRequest::from_body(
+        let req = post(
+            "/synthesize-multi",
             "{\"kernels\": [\"bitcount\", \"crc32\"], \"epsilon\": -0.99}",
-        )
-        .unwrap();
+        );
         let artifacts = Artifacts::new().with_synth(req.synth.clone());
-        let body = synthesize_multi_body(&artifacts, &req).unwrap();
+        let body = req.compute(&artifacts).unwrap();
         assert_eq!(validate_serve_json(&body).unwrap(), "synthesize-multi");
         assert!(body.contains("\"accepted\": false"));
         assert!(body.contains("\"rejected\": {\"member\": "));
@@ -1854,23 +1827,22 @@ mod tests {
     fn cold_simulate_executes_each_binary_once() {
         use fits_bench::experiment::timed_executions_on_this_thread;
 
-        let req = SimulateRequest::from_body("{\"kernel\": \"crc32\"}").unwrap();
+        let req = post("/simulate", "{\"kernel\": \"crc32\"}");
         let pool = fits_bench::ArtifactsPool::new();
         let artifacts = pool.for_config(&req.synth, req.isa.as_ref());
         let before = timed_executions_on_this_thread();
-        let cold = simulate_body(&artifacts, &req).unwrap();
+        let cold = req.compute(&artifacts).unwrap();
         assert_eq!(timed_executions_on_this_thread() - before, 2, "cold miss");
-        let warm = simulate_body(&artifacts, &req).unwrap();
+        let warm = req.compute(&artifacts).unwrap();
         assert_eq!(timed_executions_on_this_thread() - before, 4, "warm miss");
         assert_eq!(cold, warm);
     }
 
     #[test]
     fn analyze_body_validates_and_embeds_a_sound_report() {
-        let req =
-            AnalyzeRequest::from_body("{\"kernel\": \"crc32\", \"static_only\": true}").unwrap();
+        let req = post("/analyze", "{\"kernel\": \"crc32\", \"static_only\": true}");
         let artifacts = Artifacts::new().with_synth(req.synth.clone());
-        let body = analyze_body(&artifacts, &req).unwrap();
+        let body = req.compute(&artifacts).unwrap();
         assert_eq!(validate_serve_json(&body).unwrap(), "analyze");
         assert!(body.contains("\"sound\": true"));
         // A lying top-level soundness flag is caught by the validator.
@@ -1913,7 +1885,7 @@ mod tests {
     #[test]
     fn every_serve_mutant_is_rejected() {
         rejects_every_mutant(&healthz_body(42, "deadbeef"));
-        rejects_every_mutant(&SynthesizeRequest::from_body("{}").unwrap_err().body());
+        rejects_every_mutant(&reject("/synthesize", "{}").body());
         let metrics = crate::metrics::ServeMetrics::new();
         metrics.finish("synthesize", 200, std::time::Duration::from_millis(3));
         rejects_every_mutant(&metrics.render_json(&crate::metrics::MetricsContext {
@@ -1925,27 +1897,28 @@ mod tests {
             log_emitted: 7,
             log_dropped: 1,
         }));
-        let req = SynthesizeRequest::from_body("{\"kernel\": \"crc32\"}").unwrap();
+        let req = post("/synthesize", "{\"kernel\": \"crc32\"}");
         let artifacts = Artifacts::new().with_synth(req.synth.clone());
-        rejects_every_mutant(&synthesize_body(&artifacts, &req).unwrap());
-        let req = SimulateRequest::from_body("{\"kernel\": \"crc32\"}").unwrap();
+        rejects_every_mutant(&req.compute(&artifacts).unwrap());
+        let req = post("/simulate", "{\"kernel\": \"crc32\"}");
         let artifacts = Artifacts::new().with_synth(req.synth.clone());
-        rejects_every_mutant(&simulate_body(&artifacts, &req).unwrap());
-        let req = SweepRequest::from_body("{\"kernels\": [\"crc32\"], \"icache_bytes\": [8192]}")
-            .unwrap();
+        rejects_every_mutant(&req.compute(&artifacts).unwrap());
+        let req = post(
+            "/sweep",
+            "{\"kernels\": [\"crc32\"], \"icache_bytes\": [8192]}",
+        );
         let artifacts = Artifacts::new().with_synth(req.synth.clone());
-        rejects_every_mutant(&sweep_body(&artifacts, &req).unwrap());
-        let req =
-            AnalyzeRequest::from_body("{\"kernel\": \"crc32\", \"static_only\": true}").unwrap();
+        rejects_every_mutant(&req.compute(&artifacts).unwrap());
+        let req = post("/analyze", "{\"kernel\": \"crc32\", \"static_only\": true}");
         let artifacts = Artifacts::new().with_synth(req.synth.clone());
-        rejects_every_mutant(&analyze_body(&artifacts, &req).unwrap());
+        rejects_every_mutant(&req.compute(&artifacts).unwrap());
         for body in [
             "{\"kernels\": [\"bitcount\", \"crc32\"]}",
             "{\"kernels\": [\"bitcount\", \"crc32\"], \"epsilon\": -0.99}",
         ] {
-            let req = SynthesizeMultiRequest::from_body(body).unwrap();
+            let req = post("/synthesize-multi", body);
             let artifacts = Artifacts::new().with_synth(req.synth.clone());
-            rejects_every_mutant(&synthesize_multi_body(&artifacts, &req).unwrap());
+            rejects_every_mutant(&req.compute(&artifacts).unwrap());
         }
     }
 

@@ -464,6 +464,33 @@ fn cmd_smoke(addr: SocketAddr) {
         }
         Err(e) => fail("smoke 256 KiB string request", &e),
     }
+    // Oversized request text is quoted in a 400, never echoed whole: a
+    // 256 KiB preset name and a 256 KiB unknown key each get a
+    // schema-valid 400 body under 1 KiB.
+    let huge = "k".repeat(256 * 1024);
+    for (target, body) in [
+        (
+            "/simulate",
+            format!("{{\"kernel\": \"crc32\", \"scenario\": \"{huge}\"}}"),
+        ),
+        ("/sweep", format!("{{\"{huge}\": 1}}")),
+    ] {
+        match post(addr, target, &body) {
+            Ok((400, text)) if text.len() < 1024 => {
+                if let Err(e) = validate_serve_json(&text) {
+                    fail(&format!("smoke oversized {target} 400 schema"), &e);
+                }
+            }
+            Ok((status, text)) => fail(
+                "smoke",
+                &format!(
+                    "oversized {target} request answered HTTP {status}, {} bytes",
+                    text.len()
+                ),
+            ),
+            Err(e) => fail(&format!("smoke oversized {target} request"), &e),
+        }
+    }
     checked(addr, "GET", "/healthz", "");
     checked(addr, "GET", "/metrics", "");
     println!("fitsctl: smoke ok");

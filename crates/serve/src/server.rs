@@ -319,11 +319,7 @@ fn accept_loop(listener: &TcpListener, state: &ServerState) {
 fn shed(state: &ServerState, stream: &mut TcpStream) {
     state.metrics.rejected.inc();
     let trace = state.next_trace();
-    let err = ApiError {
-        code: "overloaded",
-        pointer: String::new(),
-        message: "job queue is full; retry shortly".to_string(),
-    };
+    let err = ApiError::new("overloaded", "", "job queue is full; retry shortly");
     let response = Response::json(503, err.body())
         .with_header("Retry-After", "1".to_string())
         .with_header("X-Fits-Trace", trace.clone());
@@ -357,11 +353,7 @@ fn handle_connection(state: &ServerState, stream: &mut TcpStream, accepted: Inst
             }
             // Includes oversized heads/bodies; the error body still follows
             // the response schema so clients can always parse what they get.
-            let api_err = ApiError {
-                code: "bad_request",
-                pointer: String::new(),
-                message: err.to_string(),
-            };
+            let api_err = ApiError::new("bad_request", "", err.to_string());
             let status = match err {
                 crate::http::HttpError::BodyTooLarge => 413,
                 _ => 400,
@@ -397,29 +389,9 @@ fn handle_connection(state: &ServerState, stream: &mut TcpStream, accepted: Inst
             }
         }
         ("GET", "/debug/flight") => Response::json(200, state.flight.render_json()),
-        ("POST", "/synthesize" | "/simulate" | "/analyze" | "/sweep" | "/synthesize-multi") => {
-            handle_post(state, request.path(), &request.body, spans.as_ref())
-        }
-        (
-            "GET" | "POST",
-            "/healthz" | "/metrics" | "/debug/flight" | "/synthesize" | "/simulate" | "/analyze"
-            | "/sweep" | "/synthesize-multi",
-        ) => {
-            let err = ApiError {
-                code: "method_not_allowed",
-                pointer: String::new(),
-                message: format!("{} not supported on {}", request.method, request.path()),
-            };
-            Response::json(405, err.body())
-        }
-        _ => {
-            let err = ApiError {
-                code: "not_found",
-                pointer: String::new(),
-                message: format!("no such endpoint {:?}", request.path()),
-            };
-            Response::json(404, err.body())
-        }
+        ("POST", path) => handle_post(state, path, &request.body, spans.as_ref())
+            .unwrap_or_else(|| misrouted(&request.method, path)),
+        (method, path) => misrouted(method, path),
     };
     respond(
         state,
@@ -489,12 +461,29 @@ fn respond(
     );
 }
 
+/// The answer to a request no route takes: 405 for GET or POST on a path
+/// that serves the other method, 404 otherwise.
+fn misrouted(method: &str, path: &str) -> Response {
+    let known = matches!(path, "/healthz" | "/metrics" | "/debug/flight")
+        || api::POST_ENDPOINTS.iter().any(|row| row.0 == path);
+    let (status, err) = if known && matches!(method, "GET" | "POST") {
+        let message = format!("{method} not supported on {path}");
+        (405, ApiError::new("method_not_allowed", "", message))
+    } else {
+        let message = format!("no such endpoint {path:?}");
+        (404, ApiError::new("not_found", "", message))
+    };
+    Response::json(status, err.body())
+}
+
+/// Answers a POST to `target`, or `None` when no POST endpoint has that
+/// target ([`api::POST_ENDPOINTS`] decides).
 fn handle_post(
     state: &ServerState,
     target: &str,
     body: &str,
     spans: Option<&SpanRegistry>,
-) -> Response {
+) -> Option<Response> {
     let parse_started = Instant::now();
     let parsed = PostRequest::from_target(target, body);
     if let Some(reg) = spans {
@@ -502,9 +491,8 @@ fn handle_post(
         reg.add("parse", parse_started.elapsed());
     }
     let request = match parsed {
-        Ok(Some(request)) => request,
-        Ok(None) => unreachable!("router only passes known POST targets"),
-        Err(err) => return Response::json(400, err.body()),
+        Ok(request) => request?,
+        Err(err) => return Some(Response::json(400, err.body())),
     };
     let canonical = request.canonical();
     let address = content_address(&canonical);
@@ -516,13 +504,15 @@ fn handle_post(
     }
     if let Some(cached) = cached {
         state.metrics.cache_hits.inc();
-        return serialize(spans, 200, &cached)
-            .with_header("X-Fits-Key", address)
-            .with_header("X-Cache", "hit".to_string());
+        return Some(
+            serialize(spans, 200, &cached)
+                .with_header("X-Fits-Key", address)
+                .with_header("X-Cache", "hit".to_string()),
+        );
     }
 
     let claim_started = Instant::now();
-    match state.coalescer.claim(&canonical) {
+    Some(match state.coalescer.claim(&canonical) {
         Claim::Follower(shared) => {
             if let Some(reg) = spans {
                 reg.add("coalesce-wait", claim_started.elapsed());
@@ -562,7 +552,7 @@ fn handle_post(
                 .with_header("X-Fits-Key", address)
                 .with_header("X-Cache", "miss".to_string())
         }
-    }
+    })
 }
 
 /// Builds the response from a shared body, timing the copy as the
@@ -614,6 +604,12 @@ mod tests {
         assert_eq!(status, 405);
         let (status, _) = client::post(addr, "/debug/flight", "").expect("405");
         assert_eq!(status, 405);
+        // POST targets come from the endpoint table: a GET on one is a 405,
+        // a POST to a path the table lacks a 404.
+        let (status, _) = client::get(addr, "/sweep").expect("405");
+        assert_eq!(status, 405);
+        let (status, _) = client::post(addr, "/nope", "{}").expect("404");
+        assert_eq!(status, 404);
         // Trace ids are unique per request.
         let second = client::request_raw(addr, "GET", "/healthz", "").expect("healthz again");
         assert_ne!(second.header("x-fits-trace"), Some(trace.as_str()));
