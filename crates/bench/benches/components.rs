@@ -1,8 +1,9 @@
-//! Micro-benchmarks of the reproduction's own components: simulator
-//! throughput, cache model, encoder/decoder, profiler, synthesis and
-//! translation. These benchmark the *tooling* (so regressions in the
+//! Micro-benchmarks of the reproduction's own components: cache model,
+//! encoder/decoder, profiler, synthesis, translation and the kernel
+//! compiler. These benchmark the *tooling* (so regressions in the
 //! infrastructure are visible), not the paper's results — those come from
-//! `paper_figures` and the `powerfits-repro` binary.
+//! `paper_figures` and the `powerfits-repro` binary. Record/price
+//! throughput on real workloads is perfbench's `sim.*` rows.
 //!
 //! Uses a small self-contained timing harness (median of repeated timed
 //! batches) so the workspace has no external benchmarking dependency.
@@ -12,10 +13,10 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use fits_core::{profile, synthesize, translate, FitsSet, SynthOptions};
+use fits_core::{profile, synthesize, translate, SynthOptions};
 use fits_isa::Instr;
 use fits_kernels::kernels::{Kernel, Scale};
-use fits_sim::{Ar32Set, Cache as SimCache, CacheConfig, CompiledProgram, Machine, Sa1100Config};
+use fits_sim::{Cache as SimCache, CacheConfig};
 
 /// Times `f` over `samples` batches of `iters` calls and prints the median
 /// per-call latency, plus throughput when `elements` per call is known.
@@ -43,46 +44,6 @@ fn bench(group: &str, name: &str, elements: Option<u64>, mut f: impl FnMut()) {
         format!("  ({:.1} Melem/s)", n as f64 / median / 1e6)
     });
     println!("{group}/{name:<22} {:>10.3} us/iter{rate}", median * 1e6);
-}
-
-fn bench_simulator() {
-    let program = Kernel::Crc32.compile(Scale { n: 64 }).unwrap();
-    let steps = Machine::new(Ar32Set::load(&program)).run().unwrap().steps;
-
-    bench("simulator", "functional_ar32", Some(steps), || {
-        let mut m = Machine::new(Ar32Set::load(&program));
-        black_box(m.run().unwrap());
-    });
-    // Timed runs go through the one timing engine: lift once, then record
-    // one execution and price it per call.
-    let compiled = CompiledProgram::compile(&Ar32Set::load(&program)).unwrap();
-    let timed = |cfgs: &[Sa1100Config]| {
-        let trace = Machine::new(Ar32Set::load(&program))
-            .run_recorded(&compiled)
-            .unwrap();
-        black_box(trace.price_all(&compiled, cfgs).unwrap());
-    };
-    let single = [Sa1100Config::icache_16k()];
-    bench("simulator", "timed_ar32", Some(steps), || timed(&single));
-    // Execute-once/replay-many: one functional execution priced for four
-    // configurations — compare against 4x the timed_ar32 line to see the
-    // win.
-    let multi_cfgs = [16 * 1024, 8 * 1024, 4 * 1024, 2 * 1024].map(|bytes| {
-        Sa1100Config::icache_16k()
-            .with_icache_bytes(bytes)
-            .expect("sweep sizes divide the geometry")
-    });
-    bench("simulator", "timed_multi_ar32_x4", Some(steps), || {
-        timed(&multi_cfgs);
-    });
-    let flow = fits_core::FitsFlow::new().run(&program).unwrap();
-    let fits_compiled = CompiledProgram::compile(&FitsSet::load(&flow.fits).unwrap()).unwrap();
-    bench("simulator", "timed_fits", Some(steps), || {
-        let trace = Machine::new(FitsSet::load(&flow.fits).unwrap())
-            .run_recorded(&fits_compiled)
-            .unwrap();
-        black_box(trace.price_all(&fits_compiled, &single).unwrap());
-    });
 }
 
 fn bench_cache() {
@@ -146,7 +107,6 @@ fn bench_kernels_compile() {
 }
 
 fn main() {
-    bench_simulator();
     bench_cache();
     bench_isa();
     bench_synthesis();

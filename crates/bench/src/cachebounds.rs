@@ -31,17 +31,7 @@ use fits_obs::json::escape;
 
 use crate::artifacts::Artifacts;
 use crate::experiment::{note_timed_execution, ExperimentError};
-
-/// Full-precision JSON float; scientific notation keeps nano-joule block
-/// energies exact (and is valid JSON), where fixed 6-decimal formatting
-/// would flush them to zero.
-fn json_energy(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:e}")
-    } else {
-        "null".to_owned()
-    }
-}
+use crate::stamp::json_energy;
 
 /// One instruction stream's analysis, audit and (optional) dynamic join.
 #[derive(Clone, Debug)]

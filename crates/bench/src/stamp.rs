@@ -1,6 +1,7 @@
-//! Provenance stamps for archived JSON records (`BENCH.json`,
-//! `SWEEP.json`): git commit, timestamp, host — so numbers stay
-//! attributable after they leave the working tree.
+//! Provenance stamps for archived JSON records (`SWEEP.json`,
+//! `PARETO.json`): git commit, timestamp, host — so numbers stay
+//! attributable after they leave the working tree. Also the two float
+//! renderers the archived records (`CACHE_BOUNDS.json` too) use.
 
 use fits_obs::json::escape;
 
@@ -20,8 +21,7 @@ pub fn git_commit() -> String {
 
 /// Best-effort host name: `/etc/hostname`, then `$HOSTNAME`, then
 /// `uname -n`.
-#[must_use]
-pub fn hostname() -> String {
+fn hostname() -> String {
     std::fs::read_to_string("/etc/hostname")
         .ok()
         .map(|s| s.trim().to_owned())
@@ -41,22 +41,36 @@ pub fn hostname() -> String {
 }
 
 /// Seconds since the Unix epoch (0 if the clock is before it).
-#[must_use]
-pub fn unix_timestamp() -> u64 {
+fn unix_timestamp() -> u64 {
     std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0, |d| d.as_secs())
+}
+
+/// `render(v)` for a finite `v`; `null` otherwise, since JSON has no
+/// NaN or infinity.
+fn finite_or_null(v: f64, render: impl FnOnce(f64) -> String) -> String {
+    if v.is_finite() {
+        render(v)
+    } else {
+        "null".to_owned()
+    }
 }
 
 /// A finite `f64` rendered as a JSON number with fixed precision, `null`
 /// otherwise.
 #[must_use]
 pub fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".to_owned()
-    }
+    finite_or_null(v, |v| format!("{v:.6}"))
+}
+
+/// A finite `f64` rendered in full precision, `null` otherwise.
+/// Scientific notation keeps nano-joule block energies exact (and is
+/// valid JSON), where [`json_f64`]'s six decimals would flush them to
+/// zero.
+#[must_use]
+pub(crate) fn json_energy(v: f64) -> String {
+    finite_or_null(v, |v| format!("{v:e}"))
 }
 
 /// The shared `"meta"` object of the archived records. `isa` is the
@@ -111,7 +125,19 @@ mod tests {
 
     #[test]
     fn non_finite_numbers_become_null() {
-        assert_eq!(json_f64(f64::NAN), "null");
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(json_f64(v), "null");
+            assert_eq!(json_energy(v), "null");
+        }
         assert_eq!(json_f64(1.5), "1.500000");
+    }
+
+    #[test]
+    fn energy_keeps_what_fixed_precision_flushes() {
+        assert_eq!(json_f64(1e-12), "0.000000");
+        assert_eq!(json_energy(1e-12), "1e-12");
+        let v = fits_obs::json::parse(&json_energy(1e-12)).unwrap();
+        assert_eq!(v.as_f64(), Some(1e-12));
+        assert_eq!(json_energy(2.5e-9), "2.5e-9");
     }
 }

@@ -33,10 +33,13 @@
 use std::fmt;
 
 use fits_core::SynthOptions;
+use fits_isa::spec::excerpt;
 use fits_power::TechParams;
 use fits_sim::{validate_geometry, CacheConfig, GeometryError, Replacement, Sa1100Config};
 
-/// Why a scenario could not be constructed.
+/// Why a scenario could not be constructed. Names and ids come from
+/// callers and may be untrusted, so the Display quotes them through
+/// [`excerpt`]: a message stays small however long the name was.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ScenarioError {
     /// A cache geometry is invalid.
@@ -87,7 +90,11 @@ impl fmt::Display for ScenarioError {
         match self {
             ScenarioError::Geometry { cache, error } => write!(f, "{cache}: {error}"),
             ScenarioError::BadId { id } => {
-                write!(f, "bad scenario id {id:?} (need non-empty [a-z0-9.-])")
+                write!(
+                    f,
+                    "bad scenario id {:?} (need non-empty [a-z0-9.-])",
+                    excerpt(id)
+                )
             }
             ScenarioError::EmptyAxis { axis } => write!(f, "sweep axis {axis} is empty"),
             ScenarioError::GridPoint {
@@ -100,12 +107,14 @@ impl fmt::Display for ScenarioError {
             ),
             ScenarioError::UnknownPreset { name } => write!(
                 f,
-                "unknown scenario preset {name:?} (presets: {})",
+                "unknown scenario preset {:?} (presets: {})",
+                excerpt(name),
                 PRESET_NAMES.join(" ")
             ),
             ScenarioError::UnknownTech { name } => write!(
                 f,
-                "unknown tech node {name:?} (nodes: {})",
+                "unknown tech node {:?} (nodes: {})",
+                excerpt(name),
                 TECH_NAMES.join(" ")
             ),
         }
@@ -784,6 +793,26 @@ mod tests {
         for name in TECH_NAMES {
             assert!(tech_preset(name).is_some());
         }
+    }
+
+    #[test]
+    fn oversized_names_are_quoted_not_echoed() {
+        let huge = "x".repeat(256 * 1024);
+        let unknown_preset = ScenarioSpec::resolve(&huge, None, None).unwrap_err();
+        let unknown_tech = ScenarioSpec::resolve("sa1100", Some(&huge), None).unwrap_err();
+        let bad_id = ScenarioSpec::sa1100()
+            .with_tech(&format!("{huge}!"), TechParams::sa1100())
+            .unwrap_err();
+        for e in [unknown_preset, unknown_tech, bad_id] {
+            let message = e.to_string();
+            assert!(message.len() < 1024, "{} bytes", message.len());
+            assert!(message.contains(" bytes)"), "{message}");
+        }
+        // Short names are quoted whole.
+        let e = ScenarioSpec::resolve("sa1101", None, None).unwrap_err();
+        assert!(e
+            .to_string()
+            .starts_with("unknown scenario preset \"sa1101\" (presets: "));
     }
 
     #[test]

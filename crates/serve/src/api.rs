@@ -32,9 +32,7 @@ use fits_obs::json::{
     check, check_cache_bounds, escape, parse, Value, CACHE_BOUNDS, ISA_AGGREGATE,
 };
 use fits_power::TechParams;
-use fits_scenario::{
-    tech_preset, ScenarioError, ScenarioMatrix, ScenarioSpec, PRESET_NAMES, TECH_NAMES,
-};
+use fits_scenario::{tech_preset, ScenarioError, ScenarioMatrix, ScenarioSpec, PRESET_NAMES};
 
 /// The response schema identifier every body carries.
 pub const SCHEMA: &str = "powerfits-serve-v1";
@@ -271,7 +269,10 @@ fn synth_field(v: &Value, base: SynthOptions) -> Result<SynthOptions, ApiError> 
     if let Some(b) = opt_bool(synth, sp, "toggle_aware")? {
         options.toggle_aware = b;
     }
-    if let Some(bits) = opt_uint(synth, sp, "reg_bits", 3, 4)? {
+    // Only the full 4-bit window: every served kernel addresses r13 (the
+    // stack pointer), which a 3-bit window cannot name, so 3 could never
+    // translate.
+    if let Some(bits) = opt_uint(synth, sp, "reg_bits", 4, 4)? {
         options.reg_bits = u8::try_from(bits).unwrap_or(4);
     }
     if let Some(budget) = opt_f64(synth, sp, "space_budget")? {
@@ -330,25 +331,18 @@ fn isa_field(v: &Value) -> Result<Option<Arc<SpecCatalog>>, ApiError> {
     })))
 }
 
-/// The one rejection of an unknown preset name, quoted through
-/// [`excerpt`].
+/// The one rejection of an unknown preset name. `ScenarioError`'s Display
+/// quotes the name through [`excerpt`].
 fn unknown_preset(name: &str) -> ApiError {
-    let message = format!(
-        "unknown scenario preset {:?} (presets: {})",
-        excerpt(name),
-        PRESET_NAMES.join(" ")
-    );
+    let name = name.to_owned();
+    let message = ScenarioError::UnknownPreset { name }.to_string();
     ApiError::new("bad_value", "/scenario", message)
 }
 
-/// The one rejection of an unknown tech-node name at `pointer`, quoted
-/// through [`excerpt`].
+/// The one rejection of an unknown tech-node name at `pointer`.
 fn unknown_tech(pointer: &str, name: &str) -> ApiError {
-    let message = format!(
-        "unknown tech node {:?} (nodes: {})",
-        excerpt(name),
-        TECH_NAMES.join(" ")
-    );
+    let name = name.to_owned();
+    let message = ScenarioError::UnknownTech { name }.to_string();
     ApiError::new("bad_value", pointer, message)
 }
 
@@ -360,10 +354,13 @@ fn scenario_fields(v: &Value) -> Result<(String, ScenarioSpec), ApiError> {
     let tech = opt_str(v, "", "tech")?;
     let icache = opt_uint(v, "", "icache_bytes", 256, 1 << 24)?
         .map(|n| u32::try_from(n).unwrap_or(u32::MAX));
-    let spec = ScenarioSpec::resolve(preset, tech, icache).map_err(|e| match e {
-        ScenarioError::UnknownPreset { name } => unknown_preset(&name),
-        ScenarioError::UnknownTech { name } => unknown_tech("/tech", &name),
-        e => ApiError::new("bad_value", "/icache_bytes", e.to_string()),
+    let spec = ScenarioSpec::resolve(preset, tech, icache).map_err(|e| {
+        let pointer = match e {
+            ScenarioError::UnknownPreset { .. } => "/scenario",
+            ScenarioError::UnknownTech { .. } => "/tech",
+            _ => "/icache_bytes",
+        };
+        ApiError::new("bad_value", pointer, e.to_string())
     })?;
     let key = format!(
         "preset={preset}|tech={}|icache={}",
@@ -1316,6 +1313,49 @@ mod tests {
         assert_eq!(validate_serve_json(&err.body()).unwrap(), "error");
     }
 
+    /// A 3-bit register window cannot name r13 (the stack pointer), so the
+    /// flow fails for the served kernels: `reg_bits` 3 must be refused up
+    /// front as a 400, not accepted into a pipeline that can only 500.
+    #[test]
+    fn untranslatable_reg_bits_is_a_400_not_a_500() {
+        let mut req = post("/synthesize", "{\"kernel\": \"crc32\"}");
+        req.synth.reg_bits = 3;
+        let pool = fits_bench::ArtifactsPool::new();
+        let artifacts = pool.for_config(&req.synth, req.isa.as_ref());
+        assert!(
+            req.compute(&artifacts).is_err(),
+            "a 3-bit window translates"
+        );
+
+        for (target, body) in [
+            (
+                "/synthesize",
+                "{\"kernel\": \"crc32\", \"synth\": {\"reg_bits\": 3}}",
+            ),
+            (
+                "/simulate",
+                "{\"kernel\": \"sha\", \"synth\": {\"reg_bits\": 3}}",
+            ),
+            ("/sweep", "{\"synth\": {\"reg_bits\": 3}}"),
+            (
+                "/synthesize-multi",
+                "{\"kernels\": [\"crc32\", \"sha\"], \"synth\": {\"reg_bits\": 3}}",
+            ),
+        ] {
+            let err = reject(target, body);
+            assert_eq!(
+                (err.code, err.pointer.as_str()),
+                ("bad_value", "/synth/reg_bits"),
+                "{target}"
+            );
+        }
+        let req = post(
+            "/synthesize",
+            "{\"kernel\": \"crc32\", \"synth\": {\"reg_bits\": 4}}",
+        );
+        assert_eq!(req.synth.reg_bits, 4);
+    }
+
     #[test]
     fn oversized_request_text_is_quoted_not_echoed() {
         let huge = "k".repeat(256 * 1024);
@@ -1401,8 +1441,8 @@ mod tests {
             (
                 "/synthesize",
                 "{\"kernel\": \"sha\", \"scale\": 16, \"synth\": {\"toggle_aware\": false, \
-                 \"reg_bits\": 3, \"space_budget\": 0.5, \"max_dict_bits\": 4}}",
-                "synthesize|kernel=sha|n=16|synth=toggle:0,reg:3,space:0.500000,dict:4".to_string(),
+                 \"reg_bits\": 4, \"space_budget\": 0.5, \"max_dict_bits\": 4}}",
+                "synthesize|kernel=sha|n=16|synth=toggle:0,reg:4,space:0.500000,dict:4".to_string(),
             ),
             (
                 "/simulate",
