@@ -11,7 +11,7 @@
 
 use fits_isa::alu::{dp_eval, Flags};
 use fits_isa::{Cond, DpOp, Instr, InstrClass, MemOp, Operand2, Reg, Shift, ShiftKind, TEXT_BASE};
-use fits_sim::{ExecCtx, InstrSet, MemAccess, SimError, StepOutcome};
+use fits_sim::{ExecCtx, InstrSet, LoweredOp, MemAccess, SimError, StepOutcome};
 
 use crate::decoder::{DecoderConfig, Layout, MicroOp};
 use crate::translate::{unpack, FitsProgram};
@@ -463,13 +463,19 @@ impl InstrSet for FitsSet {
         self.ops.len()
     }
 
-    fn control_flow(&self, pc: u32, op: &FitsOp) -> fits_sim::OpControl {
-        match op {
-            // Plain micro-ops share the AR32 classifier at the 16-bit op
-            // size (covers direct branches, `mov pc, r` and traps).
-            FitsOp::Plain(i) => fits_sim::instr_control_flow(i, pc, 2),
-            FitsOp::Jalr(_) => fits_sim::OpControl::Indirect,
-            FitsOp::WideImm { .. } | FitsOp::WideMem { .. } => fits_sim::OpControl::Sequential,
+    fn lower(&self, pc: u32, op: &FitsOp) -> LoweredOp {
+        match *op {
+            // Plain micro-ops share the AR32 lowering at the 16-bit op size.
+            FitsOp::Plain(ref i) => LoweredOp::from_instr(i, pc, 2),
+            FitsOp::WideImm {
+                op,
+                set_flags,
+                rd,
+                rn,
+                imm,
+            } => LoweredOp::wide_imm(op, set_flags, rd, rn, imm),
+            FitsOp::WideMem { op, rd, rb, disp } => LoweredOp::wide_mem(op, rd, rb, disp),
+            FitsOp::Jalr(ra) => LoweredOp::jalr(ra, pc, 2),
         }
     }
 
@@ -483,6 +489,11 @@ impl InstrSet for FitsSet {
                 rn,
                 imm,
             } => {
+                if rd.is_pc() && !op.is_compare() {
+                    return Err(SimError::BadInstruction {
+                        what: "wide immediate into pc".to_string(),
+                    });
+                }
                 let a = if op.ignores_rn() {
                     0
                 } else {
@@ -508,6 +519,11 @@ impl InstrSet for FitsSet {
                 })
             }
             FitsOp::WideMem { op, rd, rb, disp } => {
+                if op.is_load() && rd.is_pc() {
+                    return Err(SimError::BadInstruction {
+                        what: "wide-displacement load into pc".to_string(),
+                    });
+                }
                 let addr = ctx.read_reg(*rb).wrapping_add(*disp as u32);
                 let size = op.size();
                 let signed = matches!(op, MemOp::Ldrsb | MemOp::Ldrsh);
@@ -627,6 +643,60 @@ mod tests {
         let (arm, fits) = run_fits(Kernel::Qsort);
         assert_eq!(arm.exit_code, fits.exit_code);
         assert_eq!(arm.emitted, fits.emitted);
+    }
+
+    #[test]
+    fn wide_forms_into_pc_are_typed_errors() {
+        let set = FitsSet::load(&FitsProgram {
+            instrs: Vec::new(),
+            data: Vec::new(),
+            entry: 0,
+            config: DecoderConfig {
+                ops: Vec::new(),
+                regs: crate::decoder::RegMap::full(),
+                dicts: crate::decoder::Dictionaries::default(),
+            },
+        })
+        .unwrap();
+        let ops = [
+            FitsOp::WideImm {
+                op: DpOp::Add,
+                set_flags: true,
+                rd: Reg::PC,
+                rn: Reg::R1,
+                imm: 0x1234_5678,
+            },
+            FitsOp::WideMem {
+                op: MemOp::Ldr,
+                rd: Reg::PC,
+                rb: Reg::R1,
+                disp: 0x1000,
+            },
+        ];
+        for op in ops {
+            let mut outcomes = Vec::new();
+            for lowered in [false, true] {
+                let mut cpu = fits_sim::CpuState::new();
+                cpu.regs[1] = fits_isa::DATA_BASE;
+                let mut mem = fits_sim::Memory::with_data(&[0; 16]);
+                let mut ctx = ExecCtx {
+                    cpu: &mut cpu,
+                    mem: &mut mem,
+                    pc: TEXT_BASE,
+                };
+                let err = if lowered {
+                    set.lower(TEXT_BASE, &op).step(&mut ctx).unwrap_err()
+                } else {
+                    set.execute(&op, &mut ctx).unwrap_err()
+                };
+                assert!(matches!(err, SimError::BadInstruction { .. }), "{op:?}");
+                outcomes.push((err, cpu.flags));
+            }
+            assert_eq!(
+                outcomes[0], outcomes[1],
+                "{op:?}: oracle and lowered differ"
+            );
+        }
     }
 
     #[test]

@@ -70,6 +70,37 @@ pub struct StepOutcome {
     pub is_mul: bool,
 }
 
+impl StepOutcome {
+    /// The trace byte [`crate::Machine::run_recorded`] stores for a step
+    /// with this outcome: executed, memory, load, branch, taken and
+    /// backward bits. The differential tests compare it against the
+    /// lowered executor's [`crate::LoweredStep::trace_flags`].
+    #[must_use]
+    pub fn trace_flags(&self) -> u8 {
+        use crate::lower::{F_BACKWARD, F_BRANCH, F_EXECUTED, F_MEM, F_MEM_LOAD, F_TAKEN};
+        let mut f = 0u8;
+        if self.executed {
+            f |= F_EXECUTED;
+        }
+        if let Some(mem) = &self.mem {
+            f |= F_MEM;
+            if mem.is_load {
+                f |= F_MEM_LOAD;
+            }
+        }
+        if let Some(branch) = &self.branch {
+            f |= F_BRANCH;
+            if branch.taken {
+                f |= F_TAKEN;
+            }
+            if branch.backward {
+                f |= F_BACKWARD;
+            }
+        }
+        f
+    }
+}
+
 /// Branch resolution details.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BranchOutcome {

@@ -4,7 +4,7 @@ use fits_isa::alu::{dp_eval, mul_flags, shifter_operand};
 use fits_isa::{AddrOffset, Index, Instr, InstrClass, MemOp, Program, Reg, Shift, TEXT_BASE};
 
 use crate::cpu::BranchOutcome;
-use crate::{ExecCtx, MemAccess, SimError, StepOutcome};
+use crate::{ExecCtx, LoweredOp, MemAccess, SimError, StepOutcome};
 
 /// Static, per-instruction metadata the timing model needs.
 ///
@@ -57,29 +57,6 @@ impl OpMeta {
     }
 }
 
-/// Static control-flow shape of one decoded op — what the basic-block
-/// lifter ([`crate::CompiledProgram`]) needs to place block leaders and
-/// pre-resolve successor links.
-///
-/// The classification is purely static: a conditional branch is
-/// [`OpControl::Branch`] whether or not any dynamic instance takes it, and
-/// an op is [`OpControl::Indirect`] whenever its target is only known at
-/// run time (`mov pc, r`, `ldr pc, …`, FITS `jalr`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OpControl {
-    /// Falls through to the next op.
-    Sequential,
-    /// Direct (possibly conditional) branch to a statically-known PC.
-    Branch {
-        /// Architectural target PC when the branch is taken.
-        target: u32,
-    },
-    /// PC redirect whose target is only known at run time.
-    Indirect,
-    /// Trap (exit/emit); ends a block because `exit` stops the run.
-    Trap,
-}
-
 /// An executable instruction set: the bridge between a program binary and
 /// the ISA-agnostic [`crate::Machine`].
 ///
@@ -125,12 +102,20 @@ pub trait InstrSet {
     /// `text_base() + i * op_size()`.
     fn op_count(&self) -> usize;
 
-    /// Static control-flow classification of the op at `pc`, used by the
-    /// basic-block lifter to place leaders and pre-resolve direct branch
-    /// targets. Must agree with what `execute` can actually do to the PC.
-    fn control_flow(&self, pc: u32, op: &Self::Op) -> OpControl;
+    /// Lowers the op at `pc` to the pre-resolved form the machine's block
+    /// loop executes ([`LoweredOp`]). Called once per static op by the
+    /// lifter ([`crate::CompiledProgram::compile`]), which also takes the
+    /// op's control-flow shape from the result. Must behave exactly as
+    /// [`InstrSet::execute`] does.
+    fn lower(&self, pc: u32, op: &Self::Op) -> LoweredOp;
 
-    /// Executes one instruction.
+    /// Executes one instruction, one step at a time — the **test oracle**.
+    ///
+    /// [`crate::Machine::run`] and [`crate::Machine::run_recorded`] never
+    /// call this: they run the lowered form ([`InstrSet::lower`]). The
+    /// per-step path stays as the independent reference that the
+    /// interpreted model (`fits-sim-ref`) and the differential tests hold
+    /// the lowered executor to, bit for bit.
     ///
     /// # Errors
     ///
@@ -210,33 +195,20 @@ pub fn instr_meta(instr: &Instr) -> OpMeta {
     )
 }
 
-/// Static control flow of an [`Instr`], shared with the FITS executor
-/// (whose `Plain` micro-ops are this same type at `op_size == 2`). The
-/// branch-target arithmetic mirrors [`execute_instr`] exactly: words
-/// relative to PC + 2·`op_size`, scaled by `op_size`.
-#[must_use]
-pub fn instr_control_flow(instr: &Instr, pc: u32, op_size: u32) -> OpControl {
-    match instr {
-        Instr::Branch { offset, .. } => OpControl::Branch {
-            target: pc
-                .wrapping_add(2 * op_size)
-                .wrapping_add((offset.wrapping_mul(op_size as i32)) as u32),
-        },
-        Instr::Dp { op, rd, .. } if rd.is_pc() && !op.is_compare() => OpControl::Indirect,
-        Instr::Mem { op, rd, .. } if op.is_load() && rd.is_pc() => OpControl::Indirect,
-        Instr::Swi { .. } => OpControl::Trap,
-        _ => OpControl::Sequential,
-    }
-}
-
 /// Executes one AR32 instruction against the context. Shared with the FITS
 /// executor in `fits-core`, whose programmable decoder expands each 16-bit
 /// instruction to exactly this internal form — the "full range of functions"
 /// datapath of the paper's §3.1.
 ///
+/// This is the per-step **oracle** behind [`InstrSet::execute`]; the
+/// machine runs the same semantics through [`LoweredOp::from_instr`].
+///
 /// # Errors
 ///
-/// Propagates memory faults and unknown trap numbers.
+/// Propagates memory faults and unknown trap numbers, and reports
+/// [`SimError::BadInstruction`] for forms no executor supports: a
+/// register-shifted memory offset, and the PC written outside control flow
+/// (a multiply into it, or base writeback to it).
 pub fn execute_instr(
     instr: &Instr,
     ctx: &mut ExecCtx<'_>,
@@ -302,6 +274,11 @@ pub fn execute_instr(
             acc,
             ..
         } => {
+            if rd.is_pc() {
+                return Err(SimError::BadInstruction {
+                    what: "multiply into pc".to_string(),
+                });
+            }
             out.is_mul = true;
             let mut value = ctx.read_reg(*rm).wrapping_mul(ctx.read_reg(*rs));
             if let Some(rn) = acc {
@@ -320,6 +297,11 @@ pub fn execute_instr(
             index,
             ..
         } => {
+            if index.writes_base() && rn.is_pc() {
+                return Err(SimError::BadInstruction {
+                    what: "base writeback to pc".to_string(),
+                });
+            }
             let base = ctx.read_reg(*rn);
             let off_value = match offset {
                 AddrOffset::Imm(d) => *d as u32,
@@ -441,8 +423,8 @@ impl InstrSet for Ar32Set {
         self.text.len()
     }
 
-    fn control_flow(&self, pc: u32, op: &Instr) -> OpControl {
-        instr_control_flow(op, pc, 4)
+    fn lower(&self, pc: u32, op: &Instr) -> LoweredOp {
+        LoweredOp::from_instr(op, pc, 4)
     }
 
     fn execute(&self, op: &Instr, ctx: &mut ExecCtx<'_>) -> Result<StepOutcome, SimError> {

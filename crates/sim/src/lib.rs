@@ -53,6 +53,7 @@ mod cache;
 mod cpu;
 mod error;
 mod exec;
+mod lower;
 mod machine;
 mod memory;
 mod replay;
@@ -64,9 +65,8 @@ pub use cache::{
 };
 pub use cpu::{BranchOutcome, CpuState, ExecCtx, MemAccess, StepOutcome};
 pub use error::SimError;
-pub use exec::{
-    execute_instr, instr_control_flow, instr_meta, Ar32Set, InstrSet, OpControl, OpMeta,
-};
+pub use exec::{execute_instr, instr_meta, Ar32Set, InstrSet, OpMeta};
+pub use lower::{LoweredOp, LoweredStep};
 pub use machine::{fold_emitted, Machine, RunOutput, MAX_STEPS_DEFAULT};
 pub use memory::Memory;
 pub use replay::{BasicBlock, CompiledProgram, RecordedTrace, StepTemplate, TraceEntry};

@@ -1,8 +1,9 @@
 //! The machine loop: drives an [`InstrSet`] over memory, either purely
 //! functionally or recording a trace for the timing replay.
 
-use crate::replay::{CompiledProgram, RecordedTrace, TraceEntry};
-use crate::{CpuState, ExecCtx, InstrSet, Memory, SimError};
+use crate::lower::{Flow, Recorder};
+use crate::replay::{CompiledProgram, RecordedTrace, TraceRecorder};
+use crate::{CpuState, InstrSet, Memory, SimError};
 
 /// Default step budget: generous enough for the full-scale benchmark suite,
 /// small enough to catch runaway programs.
@@ -102,47 +103,23 @@ impl<S: InstrSet> Machine<S> {
 
     /// Runs to the exit trap, functional only (no timing).
     ///
-    /// This is the true fast path: no per-op metadata is consulted and
-    /// nothing is recorded — the loop is fetch → execute → retire.
-    /// Functional results ([`RunOutput`]) are exactly those of
-    /// [`Machine::run_recorded`].
+    /// Lifts the program first ([`CompiledProgram::compile`], a few
+    /// microseconds), then runs the same block loop as
+    /// [`Machine::run_recorded`] with nothing recorded: one step-budget
+    /// check per block run, then the block's lowered ops back to back.
+    /// Functional results ([`RunOutput`]) and the machine state at a fault
+    /// are exactly those of [`Machine::run_recorded`].
     ///
     /// # Errors
     ///
     /// Any [`SimError`] raised by execution, including step-budget overrun.
     pub fn run(&mut self) -> Result<RunOutput, SimError> {
-        let mut steps: u64 = 0;
-        let mut emitted = FNV_OFFSET;
-        loop {
-            if steps >= self.step_limit {
-                return Err(SimError::MaxSteps {
-                    limit: self.step_limit,
-                });
-            }
-            let op = self.set.op_at(self.pc)?;
-            let mut ctx = ExecCtx {
-                cpu: &mut self.cpu,
-                mem: &mut self.mem,
-                pc: self.pc,
-            };
-            let out = self.set.execute(op, &mut ctx)?;
-            steps += 1;
-            if let Some(word) = out.emit {
-                emitted = fnv1a(emitted, u64::from(word));
-            }
-            if let Some(code) = out.exit {
-                return Ok(RunOutput {
-                    exit_code: code,
-                    emitted,
-                    steps,
-                });
-            }
-            self.pc = out.next_pc;
-        }
+        let compiled = CompiledProgram::compile(&self.set)?;
+        self.run_blocks(&compiled, &mut ())
     }
 
-    /// Lifts this machine's program into basic-block descriptors and step
-    /// templates (see [`CompiledProgram::compile`]).
+    /// Lifts this machine's program into basic-block descriptors, step
+    /// templates and lowered ops (see [`CompiledProgram::compile`]).
     ///
     /// # Errors
     ///
@@ -158,9 +135,14 @@ impl<S: InstrSet> Machine<S> {
     /// [`RunOutput`](RecordedTrace::output) is exactly that of
     /// [`Machine::run`].
     ///
-    /// The hot loop walks whole basic blocks between control transfers:
-    /// sequential successors advance without a PC→index lookup, and taken
-    /// direct branches follow the block's pre-resolved successor link.
+    /// The loop runs one basic block at a time on `compiled`'s lowered ops:
+    /// the step budget is checked once per block run, each run appends one
+    /// trace entry and copies its ops' pre-computed outcome bytes in one
+    /// go, and only memory ops push to the access stream. Sequential
+    /// successors need no PC lookup, and taken direct branches follow the
+    /// block's pre-resolved successor link. The pairing-independent
+    /// aggregates are folded once per static op at the end, not per
+    /// retired step.
     ///
     /// # Errors
     ///
@@ -169,81 +151,107 @@ impl<S: InstrSet> Machine<S> {
     /// instruction set.
     pub fn run_recorded(&mut self, compiled: &CompiledProgram) -> Result<RecordedTrace, SimError> {
         compiled.check_matches(&self.set)?;
-        let op_size = self.set.op_size();
-        let mut trace = RecordedTrace {
-            output: RunOutput {
-                exit_code: 0,
-                emitted: FNV_OFFSET,
-                steps: 0,
-            },
-            entries: Vec::new(),
-            flags: Vec::new(),
-            mem: Vec::new(),
-            token: compiled.token(),
-            statics: Default::default(),
-        };
+        let mut recorder = TraceRecorder::new(compiled);
+        let output = self.run_blocks(compiled, &mut recorder)?;
+        Ok(recorder.finish(output))
+    }
+
+    /// The block loop shared by [`Machine::run`] and
+    /// [`Machine::run_recorded`]. Only a block's last op can redirect,
+    /// trap or exit (the lifter ends a block at every such op), so a block
+    /// run whose ops all fit the step budget needs no further check; a
+    /// run that would cross it retires up to the budget and stops with
+    /// [`SimError::MaxSteps`] on the same step as a per-step loop would.
+    fn run_blocks<R: Recorder>(
+        &mut self,
+        compiled: &CompiledProgram,
+        rec: &mut R,
+    ) -> Result<RunOutput, SimError> {
+        let ops = compiled.lowered();
+        let op_size = compiled.op_size();
+        let limit = self.step_limit;
+        let max_steps = SimError::MaxSteps { limit };
+        // A per-step loop checks the budget before every fetch, so an
+        // exhausted budget wins over a bad PC.
+        let fetch_error =
+            |steps: u64, e: SimError| if steps >= limit { max_steps.clone() } else { e };
         let mut steps: u64 = 0;
         let mut emitted = FNV_OFFSET;
-        let mut index = compiled.index_of_pc(self.pc)?;
+        let mut index = compiled
+            .index_of_pc(self.pc)
+            .map_err(|e| fetch_error(steps, e))?;
         loop {
-            let start = index;
-            let boundary = compiled.boundary_of(index);
-            let mut len = 0u32;
-            // One trace entry: retire ops until the block ends, the PC
-            // redirects, or the program exits.
-            let next = loop {
-                if steps >= self.step_limit {
-                    return Err(SimError::MaxSteps {
-                        limit: self.step_limit,
-                    });
+            let start = index as usize;
+            let end = compiled.boundary_of(index) as usize;
+            let block = &ops[start..end];
+            let mut pc = self.pc;
+            if block.len() as u64 > limit - steps {
+                // The budget runs out inside this block run: only its
+                // sequential body retires, so no trace is kept.
+                for op in &block[..(limit - steps) as usize] {
+                    if let Err(e) = op.exec(&mut self.cpu, &mut self.mem, pc, &mut ()) {
+                        self.pc = pc;
+                        return Err(e);
+                    }
+                    pc = pc.wrapping_add(op_size);
                 }
-                let op = self.set.op_at(self.pc)?;
-                let mut ctx = ExecCtx {
-                    cpu: &mut self.cpu,
-                    mem: &mut self.mem,
-                    pc: self.pc,
-                };
-                let out = self.set.execute(op, &mut ctx)?;
-                steps += 1;
-                len += 1;
-                trace.record_step(&out);
-                if let Some(word) = out.emit {
+                self.pc = pc;
+                return Err(max_steps);
+            }
+            rec.block(index, end as u32);
+            let mut flow = Flow::Next;
+            for (k, op) in block.iter().enumerate() {
+                match op.exec(&mut self.cpu, &mut self.mem, pc, rec) {
+                    Ok(Flow::Next) => {}
+                    Ok(Flow::Skipped) => rec.skip(start + k),
+                    Ok(other) => {
+                        debug_assert_eq!(k + 1, block.len(), "only a block's last op leaves it");
+                        flow = other;
+                        break;
+                    }
+                    Err(e) => {
+                        self.pc = pc;
+                        return Err(e);
+                    }
+                }
+                pc = pc.wrapping_add(op_size);
+            }
+            steps += block.len() as u64;
+            index = match flow {
+                Flow::Next | Flow::Skipped => end as u32,
+                Flow::Emit(word) => {
                     emitted = fnv1a(emitted, u64::from(word));
+                    pc = pc.wrapping_add(op_size);
+                    end as u32
                 }
-                if let Some(code) = out.exit {
-                    trace.entries.push(TraceEntry { start, len });
-                    trace.output = RunOutput {
+                Flow::Exit(code) => {
+                    self.pc = pc;
+                    return Ok(RunOutput {
                         exit_code: code,
                         emitted,
                         steps,
-                    };
-                    trace.compute_statics(compiled.templates());
-                    return Ok(trace);
+                    });
                 }
-                let seq_pc = self.pc.wrapping_add(op_size);
-                if out.next_pc != seq_pc {
-                    self.pc = out.next_pc;
+                Flow::Jump(target) => {
+                    pc = target;
                     // Taken direct branches follow the pre-resolved link;
                     // indirect targets fall back to a checked lookup.
-                    break match compiled.branch_link(index) {
-                        Some((target_pc, target_index, _)) if target_pc == out.next_pc => {
-                            target_index
-                        }
-                        _ => compiled.index_of_pc(out.next_pc)?,
-                    };
-                }
-                self.pc = seq_pc;
-                index += 1;
-                if index == boundary {
-                    break index;
+                    match compiled.branch_link(end as u32 - 1) {
+                        Some((link_pc, link_index, _)) if link_pc == target => link_index,
+                        _ => match compiled.index_of_pc(target) {
+                            Ok(i) => i,
+                            Err(e) => {
+                                self.pc = pc;
+                                return Err(fetch_error(steps, e));
+                            }
+                        },
+                    }
                 }
             };
-            trace.entries.push(TraceEntry { start, len });
-            index = next;
-            if index as usize >= compiled.op_count() {
-                // Fell off the end of the text segment: report it exactly
-                // as `Machine::run` would on its next fetch.
-                return Err(SimError::BadPc { pc: self.pc });
+            self.pc = pc;
+            if index as usize >= ops.len() {
+                // Fell off the end of the text segment.
+                return Err(fetch_error(steps, SimError::BadPc { pc }));
             }
         }
     }
@@ -252,7 +260,7 @@ impl<S: InstrSet> Machine<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Ar32Set;
+    use crate::{Ar32Set, ExecCtx};
     use fits_isa::{Cond, DpOp, Instr, MemOp, Operand2, Program, Reg, DATA_BASE};
 
     fn countdown_program() -> Program {
@@ -323,6 +331,61 @@ mod tests {
         let b = mk(2);
         assert_eq!(a.exit_code, 1);
         assert_ne!(a.checksum(), b.checksum());
+    }
+
+    #[test]
+    fn pc_writes_outside_control_flow_are_typed_errors() {
+        let exit = Instr::Swi {
+            cond: Cond::Al,
+            imm: 0,
+        };
+        let multiply_into_pc = Instr::Mul {
+            cond: Cond::Al,
+            set_flags: false,
+            rd: Reg::PC,
+            rm: Reg::R1,
+            rs: Reg::R2,
+            acc: None,
+        };
+        let post_index_from_pc = Instr::Mem {
+            cond: Cond::Al,
+            op: MemOp::Ldr,
+            rd: Reg::R0,
+            rn: Reg::PC,
+            offset: fits_isa::AddrOffset::Imm(4),
+            index: fits_isa::Index::Post,
+        };
+        // Each used to trip the `write_reg` PC assert; now every path
+        // reports the same typed error at the first step.
+        for instr in [multiply_into_pc, post_index_from_pc] {
+            let program = Program {
+                text: vec![instr, exit],
+                ..Program::default()
+            };
+            let set = Ar32Set::load(&program);
+            let compiled = CompiledProgram::compile(&set).unwrap();
+            let recorded = Machine::new(set.clone()).run_recorded(&compiled);
+            assert!(
+                matches!(recorded, Err(SimError::BadInstruction { .. })),
+                "{instr:?}"
+            );
+            let run = Machine::new(set).run();
+            assert!(
+                matches!(run, Err(SimError::BadInstruction { .. })),
+                "{instr:?}"
+            );
+            let (mut cpu, mut mem) = (CpuState::new(), Memory::with_data(&[]));
+            let mut ctx = ExecCtx {
+                cpu: &mut cpu,
+                mem: &mut mem,
+                pc: fits_isa::TEXT_BASE,
+            };
+            let oracle = crate::execute_instr(&instr, &mut ctx, 4);
+            assert!(
+                matches!(oracle, Err(SimError::BadInstruction { .. })),
+                "{instr:?}"
+            );
+        }
     }
 
     #[test]

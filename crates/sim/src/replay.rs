@@ -6,16 +6,21 @@
 //! pass per configuration. This module splits that work into three phases
 //! so a geometry × tech sweep pays for the expensive parts exactly once:
 //!
-//! 1. **Lift** ([`CompiledProgram::compile`]) — discover basic blocks from
-//!    the decoded text (leaders at the entry, at direct branch targets and
-//!    after every control-flow op), precompute one static [`StepTemplate`]
-//!    per op (PC, fetch word, class, ports, operands — everything the
-//!    timing model needs that does not depend on the dynamic outcome) and
-//!    pre-resolve direct successor links.
+//! 1. **Lift** ([`CompiledProgram::compile`]) — lower every op once to
+//!    its executable [`LoweredOp`], discover basic blocks from the lowered
+//!    text (leaders at the entry, at direct branch targets and after every
+//!    control-flow op), precompute one static [`StepTemplate`] per op (PC,
+//!    fetch word, class, ports, operands — everything the timing model
+//!    needs that does not depend on the dynamic outcome) and pre-resolve
+//!    direct successor links.
 //! 2. **Record** ([`crate::Machine::run_recorded`]) — one functional
-//!    execution emits a compact trace: `(block-entry index, length)` pairs
-//!    plus one dynamic-outcome byte per retired op and a side stream of
-//!    memory addresses/data. No timing model runs.
+//!    execution, a block run at a time over the lowered ops, emits a
+//!    compact trace: `(block-entry index, length)` pairs plus one
+//!    dynamic-outcome byte per retired op and a side stream of memory
+//!    addresses/data. Each block run copies its ops' pre-computed outcome
+//!    bytes at once and patches only the rare exceptions; the
+//!    pairing-independent aggregates are folded once per static op at the
+//!    end. No timing model runs.
 //! 3. **Replay** ([`RecordedTrace::price_all`]) — one pass over the trace
 //!    re-runs the SA-1100 issue/hazard pipeline (which is configuration-
 //!    independent: pairing, interlocks and prediction depend only on the
@@ -51,9 +56,12 @@
 use fits_isa::{InstrClass, Reg};
 
 use crate::cache::validate_config;
+use crate::lower::{
+    LoweredOp, OpControl, Recorder, F_BACKWARD, F_BRANCH, F_EXECUTED, F_MEM, F_MEM_LOAD, F_TAKEN,
+};
 use crate::machine::{RunOutput, FNV_OFFSET};
 use crate::timing::{BranchStats, CacheEventObserver, Sa1100Config, SimResult};
-use crate::{Cache, CacheConfig, InstrSet, OpControl, SimError};
+use crate::{Cache, CacheConfig, InstrSet, SimError};
 
 /// Static per-op template: everything the timing model needs to know about
 /// an op that is a pure function of the decoded instruction, precomputed
@@ -107,14 +115,6 @@ pub struct BasicBlock {
     pub branch_to: Option<(u32, u32, u32)>,
 }
 
-/// Dynamic-outcome flags recorded per retired op (one byte each).
-const F_EXECUTED: u8 = 1 << 0;
-const F_MEM: u8 = 1 << 1;
-const F_MEM_LOAD: u8 = 1 << 2;
-const F_BRANCH: u8 = 1 << 3;
-const F_TAKEN: u8 = 1 << 4;
-const F_BACKWARD: u8 = 1 << 5;
-
 /// A program lifted to basic-block descriptors and per-op static
 /// templates — the shared, configuration-independent half of the compiled
 /// replay engine. Build once per loaded binary with
@@ -126,6 +126,11 @@ pub struct CompiledProgram {
     /// Op index of the program entry point.
     entry_index: u32,
     templates: Vec<StepTemplate>,
+    /// Per-op executable form (index == op index).
+    lowered: Vec<LoweredOp>,
+    /// Per-op trace byte of an executed instance, contiguous so a block
+    /// run's bytes are recorded with one copy.
+    exec_bytes: Vec<u8>,
     blocks: Vec<BasicBlock>,
     /// Per-op: one-past-the-end op index of the containing block.
     boundary: Vec<u32>,
@@ -138,7 +143,8 @@ pub struct CompiledProgram {
 }
 
 impl CompiledProgram {
-    /// Lifts a decoded program into block descriptors and step templates.
+    /// Lifts a decoded program into block descriptors, step templates and
+    /// the lowered executable form of every op ([`InstrSet::lower`]).
     ///
     /// # Errors
     ///
@@ -151,12 +157,13 @@ impl CompiledProgram {
         let entry_index = index_of(set.entry_pc(), text_base, op_size, n)?;
 
         let mut templates = Vec::with_capacity(n);
-        let mut controls = Vec::with_capacity(n);
+        let mut lowered = Vec::with_capacity(n);
         let mut token = FNV_OFFSET;
         for i in 0..n {
             let pc = text_base.wrapping_add(i as u32 * op_size);
             let op = set.op_at(pc)?;
             let meta = set.describe(op);
+            lowered.push(set.lower(pc, op));
             let fetch_word_addr = pc & !3;
             let fetch_word_value = set.fetch_word(fetch_word_addr);
             let mask = |regs: &[Option<Reg>]| -> u16 {
@@ -178,11 +185,12 @@ impl CompiledProgram {
                 reads_flags: meta.reads_flags,
                 is_mul: meta.is_mul,
             });
-            controls.push(set.control_flow(pc, op));
             token = crate::machine::fnv1a(token, u64::from(fetch_word_value));
         }
         token = crate::machine::fnv1a(token, u64::from(op_size));
         token = crate::machine::fnv1a(token, n as u64);
+        let controls: Vec<OpControl> = lowered.iter().map(LoweredOp::control).collect();
+        let exec_bytes = lowered.iter().map(LoweredOp::exec_byte).collect();
 
         // Leaders: the entry, every direct branch target inside the text,
         // and the op after every control-flow op.
@@ -262,6 +270,8 @@ impl CompiledProgram {
             op_size,
             entry_index,
             templates,
+            lowered,
+            exec_bytes,
             blocks,
             boundary,
             block_of,
@@ -295,7 +305,8 @@ impl CompiledProgram {
     }
 
     /// Checks that this lifted program belongs to `set` (same geometry and
-    /// encoded text).
+    /// encoded text) — the machine runs the lifted ops, so a program lifted
+    /// from another binary must not run on this one's data.
     ///
     /// # Errors
     ///
@@ -304,6 +315,10 @@ impl CompiledProgram {
         if self.op_size != set.op_size()
             || self.templates.len() != set.op_count()
             || self.text_base != set.text_base()
+            || self
+                .templates
+                .iter()
+                .any(|t| set.fetch_word(t.fetch_word_addr) != t.fetch_word_value)
         {
             return Err(SimError::BadInstruction {
                 what: "compiled program does not match this instruction set".to_string(),
@@ -388,6 +403,14 @@ impl CompiledProgram {
         self.token
     }
 
+    pub(crate) fn lowered(&self) -> &[LoweredOp] {
+        &self.lowered
+    }
+
+    pub(crate) fn op_size(&self) -> u32 {
+        self.op_size
+    }
+
     pub(crate) fn index_of_pc(&self, pc: u32) -> Result<u32, SimError> {
         index_of(pc, self.text_base, self.op_size, self.templates.len())
     }
@@ -444,10 +467,10 @@ pub struct RecordedTrace {
 }
 
 /// Instruction-mix aggregates that depend only on the retired-op stream,
-/// not on issue pairing or any machine configuration: computed in a single
-/// template+flag walk when the trace is recorded, so the replay pipeline
-/// never touches them per op and every priced lane just copies them into
-/// its [`SimResult`].
+/// not on issue pairing or any machine configuration: folded once per
+/// static op when the trace is recorded ([`TraceRecorder::finish`]), so
+/// the replay pipeline never touches them per op and every priced lane
+/// just copies them into its [`SimResult`].
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct StaticCounters {
     pub(crate) retired: u64,
@@ -471,66 +494,6 @@ fn class_index(class: InstrClass) -> usize {
 }
 
 impl RecordedTrace {
-    /// Appends one retired op's dynamic outcome (called by the recording
-    /// loop in [`crate::Machine::run_recorded`]).
-    pub(crate) fn record_step(&mut self, out: &crate::StepOutcome) {
-        let mut f = 0u8;
-        if out.executed {
-            f |= F_EXECUTED;
-        }
-        if let Some(mem) = &out.mem {
-            f |= F_MEM;
-            if mem.is_load {
-                f |= F_MEM_LOAD;
-            }
-            self.mem.push((mem.addr, mem.data));
-        }
-        if let Some(branch) = &out.branch {
-            f |= F_BRANCH;
-            if branch.taken {
-                f |= F_TAKEN;
-            }
-            if branch.backward {
-                f |= F_BACKWARD;
-            }
-        }
-        self.flags.push(f);
-    }
-
-    /// Folds the pairing-independent aggregates (instruction mix, register
-    /// traffic, branch outcomes) in one walk over the templates and flag
-    /// bytes — called once by [`crate::Machine::run_recorded`] after the
-    /// functional pass, so pricing never recomputes them per op.
-    pub(crate) fn compute_statics(&mut self, templates: &[StepTemplate]) {
-        let mut s = StaticCounters {
-            retired: self.flags.len() as u64,
-            ..StaticCounters::default()
-        };
-        let mut flag_idx = 0usize;
-        for e in &self.entries {
-            for k in 0..e.len {
-                let t = &templates[(e.start + k) as usize];
-                let f = self.flags[flag_idx];
-                flag_idx += 1;
-                let executed = f & F_EXECUTED != 0;
-                s.class_counts[class_index(t.class)] += 1;
-                s.executed += u64::from(executed);
-                s.reg_reads += u64::from(t.reg_reads);
-                s.reg_writes += u64::from(t.reg_writes);
-                s.flag_writes += u64::from(t.sets_flags && executed);
-                s.mul_ops += u64::from(t.is_mul && executed);
-                if f & F_BRANCH != 0 {
-                    let taken = f & F_TAKEN != 0;
-                    s.branch.branches += 1;
-                    s.branch.taken += u64::from(taken);
-                    // BTFNT: backward predicted taken, forward not-taken.
-                    s.branch.mispredicted += u64::from(taken != (f & F_BACKWARD != 0));
-                }
-            }
-        }
-        self.statics = s;
-    }
-
     /// Number of block-run entries in the trace.
     #[must_use]
     pub fn entry_count(&self) -> usize {
@@ -548,18 +511,7 @@ impl RecordedTrace {
     /// instruction (the profiler's hot loop).
     #[must_use]
     pub fn exec_counts(&self, op_count: usize) -> Vec<u64> {
-        let mut diff = vec![0i64; op_count + 1];
-        for e in &self.entries {
-            diff[e.start as usize] += 1;
-            diff[(e.start + e.len) as usize] -= 1;
-        }
-        let mut counts = Vec::with_capacity(op_count);
-        let mut acc = 0i64;
-        for d in &diff[..op_count] {
-            acc += d;
-            counts.push(acc as u64);
-        }
-        counts
+        exec_counts(&self.entries, op_count)
     }
 
     /// Per retired branch, in retire order: `(op index, taken, backward)`,
@@ -726,6 +678,134 @@ impl RecordedTrace {
             .into_iter()
             .map(|lane| lane.into_result(&shared, &self.statics))
             .collect())
+    }
+}
+
+/// Per-op retire counts over `entries`, by difference array.
+fn exec_counts(entries: &[TraceEntry], op_count: usize) -> Vec<u64> {
+    let mut diff = vec![0i64; op_count + 1];
+    for e in entries {
+        diff[e.start as usize] += 1;
+        diff[(e.start + e.len) as usize] -= 1;
+    }
+    let mut counts = Vec::with_capacity(op_count);
+    let mut acc = 0i64;
+    for d in &diff[..op_count] {
+        acc += d;
+        counts.push(acc as u64);
+    }
+    counts
+}
+
+/// The recorder behind [`crate::Machine::run_recorded`]: builds the trace
+/// one block run at a time. Each run appends its entry and copies its
+/// ops' executed trace bytes in one go; the rare exceptions — an op whose
+/// condition failed, a backward `jalr` — patch their byte and are tallied
+/// for the static aggregates.
+pub(crate) struct TraceRecorder<'c> {
+    compiled: &'c CompiledProgram,
+    entries: Vec<TraceEntry>,
+    flags: Vec<u8>,
+    mem: Vec<(u32, u32)>,
+    /// First op index of the current block run, and the offset of its
+    /// byte in `flags`.
+    block_start: usize,
+    block_base: usize,
+    /// Per op: retired instances whose condition failed.
+    skips: Vec<u64>,
+    /// `jalr`s that jumped backwards (predicted taken, so not
+    /// mispredicted).
+    back_jumps: u64,
+}
+
+impl<'c> TraceRecorder<'c> {
+    pub(crate) fn new(compiled: &'c CompiledProgram) -> TraceRecorder<'c> {
+        TraceRecorder {
+            compiled,
+            entries: Vec::new(),
+            flags: Vec::new(),
+            mem: Vec::new(),
+            block_start: 0,
+            block_base: 0,
+            skips: vec![0; compiled.op_count()],
+            back_jumps: 0,
+        }
+    }
+
+    /// The finished trace of a run that produced `output`, with its
+    /// pairing-independent aggregates folded per static op: retire counts
+    /// by difference array over the entries, corrected by the tallied
+    /// exceptions.
+    pub(crate) fn finish(self, output: RunOutput) -> RecordedTrace {
+        let compiled = self.compiled;
+        let counts = exec_counts(&self.entries, compiled.op_count());
+        let mut s = StaticCounters {
+            retired: self.flags.len() as u64,
+            ..StaticCounters::default()
+        };
+        let mut skipped = 0;
+        for (i, t) in compiled.templates.iter().enumerate() {
+            let (count, skips) = (counts[i], self.skips[i]);
+            let ran = count - skips;
+            skipped += skips;
+            s.class_counts[class_index(t.class)] += count;
+            s.reg_reads += count * u64::from(t.reg_reads);
+            s.reg_writes += count * u64::from(t.reg_writes);
+            s.flag_writes += ran * u64::from(t.sets_flags);
+            s.mul_ops += ran * u64::from(t.is_mul);
+            let byte = compiled.exec_bytes[i];
+            if byte & F_BRANCH != 0 {
+                s.branch.branches += count;
+                s.branch.taken += ran;
+                // BTFNT: backward predicted taken, forward not-taken. A
+                // `jalr` counts as forward here; its backward jumps are
+                // taken back out below.
+                s.branch.mispredicted += if byte & F_BACKWARD != 0 { skips } else { ran };
+            }
+        }
+        s.executed = s.retired - skipped;
+        s.branch.mispredicted -= self.back_jumps;
+        RecordedTrace {
+            output,
+            entries: self.entries,
+            flags: self.flags,
+            mem: self.mem,
+            token: compiled.token(),
+            statics: s,
+        }
+    }
+}
+
+impl Recorder for TraceRecorder<'_> {
+    #[inline(always)]
+    fn block(&mut self, start: u32, end: u32) {
+        self.entries.push(TraceEntry {
+            start,
+            len: end - start,
+        });
+        self.block_start = start as usize;
+        self.block_base = self.flags.len();
+        self.flags
+            .extend_from_slice(&self.compiled.exec_bytes[start as usize..end as usize]);
+    }
+
+    fn skip(&mut self, index: usize) {
+        let at = self.block_base + (index - self.block_start);
+        self.flags[at] = self.compiled.lowered[index].skip_byte();
+        self.skips[index] += 1;
+    }
+
+    #[inline(always)]
+    fn mem(&mut self, addr: u32, data: u32) {
+        self.mem.push((addr, data));
+    }
+
+    fn back_jump(&mut self) {
+        // A `jalr` ends its block, so its byte is the last one.
+        if let Some(byte) = self.flags.last_mut() {
+            *byte |= F_BACKWARD;
+        }
+        self.back_jumps += 1;
     }
 }
 
@@ -1301,6 +1381,84 @@ mod tests {
         assert_eq!(counts[6], 1);
     }
 
+    /// The recorder writes each block run's bytes in one copy and patches
+    /// the exceptions; the result must be exactly the bytes and accesses
+    /// a per-step loop over the `execute` oracle reports, condition-failed
+    /// ops and both access kinds included.
+    #[test]
+    fn recorded_bytes_and_accesses_match_the_per_step_oracle() {
+        use crate::{CpuState, ExecCtx, Memory};
+        use fits_isa::{AddrOffset, Index, MemOp, DATA_BASE};
+
+        let imm = |v| Operand2::imm(v).unwrap();
+        let program = Program {
+            text: vec![
+                Instr::mov(Reg::R3, imm(DATA_BASE)),
+                Instr::mov(Reg::R0, imm(10)),
+                // loop: [r3], #4 = r0; r1 += r0 if odd; r2 = [r3 - 4]
+                Instr::Mem {
+                    cond: Cond::Al,
+                    op: MemOp::Str,
+                    rd: Reg::R0,
+                    rn: Reg::R3,
+                    offset: AddrOffset::Imm(4),
+                    index: Index::Post,
+                },
+                Instr::Dp {
+                    cond: Cond::Al,
+                    op: DpOp::Tst,
+                    set_flags: true,
+                    rd: Reg::R0,
+                    rn: Reg::R0,
+                    op2: imm(1),
+                },
+                Instr::dp(DpOp::Add, Reg::R1, Reg::R1, Operand2::reg(Reg::R0)).with_cond(Cond::Ne),
+                Instr::mem(MemOp::Ldr, Reg::R2, Reg::R3, -4),
+                Instr::Dp {
+                    cond: Cond::Al,
+                    op: DpOp::Sub,
+                    set_flags: true,
+                    rd: Reg::R0,
+                    rn: Reg::R0,
+                    op2: imm(1),
+                },
+                Instr::b(-7).with_cond(Cond::Ne),
+                Instr::mov(Reg::R0, Operand2::reg(Reg::R1)),
+                Instr::Swi {
+                    cond: Cond::Al,
+                    imm: 0,
+                },
+            ],
+            ..Program::default()
+        };
+        let set = Ar32Set::load(&program);
+        let compiled = CompiledProgram::compile(&set).unwrap();
+        let trace = Machine::new(set.clone()).run_recorded(&compiled).unwrap();
+        assert_eq!(trace.output.exit_code, 25, "odd counts 9 + 7 + 5 + 3 + 1");
+
+        let (mut cpu, mut mem) = (CpuState::new(), Memory::with_data(&[]));
+        let mut pc = set.entry_pc();
+        let (mut flags, mut accesses) = (Vec::new(), Vec::new());
+        loop {
+            let mut ctx = ExecCtx {
+                cpu: &mut cpu,
+                mem: &mut mem,
+                pc,
+            };
+            let out = set.execute(set.op_at(pc).unwrap(), &mut ctx).unwrap();
+            flags.push(out.trace_flags());
+            accesses.extend(out.mem.map(|m| (m.addr, m.data)));
+            if out.exit.is_some() {
+                break;
+            }
+            pc = out.next_pc;
+        }
+        assert_eq!(trace.flags, flags);
+        assert_eq!(trace.mem, accesses);
+        // Five even-count `addne`s and the final `bne` fail their condition.
+        assert_eq!(trace.statics.executed, trace.statics.retired - 6);
+    }
+
     #[test]
     fn branches_report_per_site_outcomes() {
         let set = Ar32Set::load(&looped_program());
@@ -1323,6 +1481,23 @@ mod tests {
         assert_eq!(sim.branch.branches, 10);
         assert_eq!(sim.branch.taken, 9);
         assert_eq!(sim.branch.mispredicted, 1);
+    }
+
+    #[test]
+    fn a_program_lifted_from_another_text_is_rejected() {
+        let exit_with = |code| Program {
+            text: vec![
+                Instr::mov(Reg::R0, Operand2::imm(code).unwrap()),
+                Instr::Swi {
+                    cond: Cond::Al,
+                    imm: 0,
+                },
+            ],
+            ..Program::default()
+        };
+        let other = CompiledProgram::compile(&Ar32Set::load(&exit_with(1))).unwrap();
+        let recorded = Machine::new(Ar32Set::load(&exit_with(2))).run_recorded(&other);
+        assert!(matches!(recorded, Err(SimError::BadInstruction { .. })));
     }
 
     #[test]
@@ -1379,8 +1554,8 @@ mod tests {
         fn describe(&self, op: &Self::Op) -> crate::OpMeta {
             self.0.describe(op)
         }
-        fn control_flow(&self, _pc: u32, _op: &Self::Op) -> OpControl {
-            OpControl::Sequential
+        fn lower(&self, pc: u32, op: &Self::Op) -> LoweredOp {
+            LoweredOp::from_instr(op, pc, 2)
         }
         fn execute(
             &self,

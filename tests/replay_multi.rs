@@ -10,10 +10,13 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use powerfits::core::{FitsFlow, FitsSet};
+use powerfits::core::{
+    DecoderConfig, Dictionaries, FitsFlow, FitsOp, FitsProgram, FitsSet, RegMap,
+};
+use powerfits::isa::{Cond, DpOp, Instr, Operand2, Reg, TEXT_BASE};
 use powerfits::kernels::kernels::{Kernel, Scale};
 use powerfits::sim::{
-    Ar32Set, CompiledProgram, ExecCtx, InstrSet, Machine, OpControl, OpMeta, Sa1100Config,
+    Ar32Set, CompiledProgram, ExecCtx, InstrSet, LoweredOp, Machine, OpMeta, Sa1100Config,
     SimError, StepOutcome,
 };
 
@@ -87,11 +90,13 @@ fn fast_path_agrees_with_observed_path() {
     }
 }
 
-/// An [`InstrSet`] wrapper counting `execute` calls, proving the replay
-/// engine performs exactly one functional execution regardless of how many
-/// configurations it prices.
+/// An [`InstrSet`] wrapper counting `lower` and `execute` calls, proving
+/// the replay engine lowers each static op exactly once and executes the
+/// lowered form a single time — never the per-step `execute` oracle —
+/// regardless of how many configurations it prices.
 struct CountingSet<S> {
     inner: S,
+    lowers: Rc<Cell<u64>>,
     executes: Rc<Cell<u64>>,
 }
 
@@ -107,8 +112,9 @@ impl<S: InstrSet> InstrSet for CountingSet<S> {
     fn op_count(&self) -> usize {
         self.inner.op_count()
     }
-    fn control_flow(&self, pc: u32, op: &Self::Op) -> OpControl {
-        self.inner.control_flow(pc, op)
+    fn lower(&self, pc: u32, op: &Self::Op) -> LoweredOp {
+        self.lowers.set(self.lowers.get() + 1);
+        self.inner.lower(pc, op)
     }
     fn initial_data(&self) -> &[u8] {
         self.inner.initial_data()
@@ -131,12 +137,19 @@ impl<S: InstrSet> InstrSet for CountingSet<S> {
 #[test]
 fn replay_many_executes_each_instruction_once() {
     let program = Kernel::Crc32.compile(Scale::test()).expect("compiles");
+    let lowers = Rc::new(Cell::new(0));
     let executes = Rc::new(Cell::new(0));
     let set = CountingSet {
         inner: Ar32Set::load(&program),
+        lowers: Rc::clone(&lowers),
         executes: Rc::clone(&executes),
     };
     let compiled = CompiledProgram::compile(&set).expect("compiles to blocks");
+    assert_eq!(
+        lowers.get(),
+        program.text.len() as u64,
+        "one lowering per op"
+    );
     let trace = Machine::new(set)
         .run_recorded(&compiled)
         .expect("recorded run");
@@ -144,10 +157,18 @@ fn replay_many_executes_each_instruction_once() {
         .price_all(&compiled, &sweep_configs())
         .expect("price all");
     assert_eq!(sims.len(), 4);
+    let reference =
+        fits_sim_ref::run_observed(&Ar32Set::load(&program), |_, _| {}).expect("reference run");
+    assert_eq!(trace.output, reference, "one execution, same result");
+    assert_eq!(
+        lowers.get(),
+        program.text.len() as u64,
+        "four configurations must share one lowering, not re-lower"
+    );
     assert_eq!(
         executes.get(),
-        trace.output.steps,
-        "four configurations must share one execution, not re-execute"
+        0,
+        "the machine runs the lowered ops, never the per-step oracle"
     );
 }
 
@@ -334,5 +355,118 @@ fn only_lanes_the_replay_cannot_tell_apart_are_grouped() {
             *sim,
             "lane {i} diverged from its own replay"
         );
+    }
+}
+
+/// A hand-laid FITS op sequence, for control flow the translator never
+/// emits on the suite: the ops execute through an empty binary's
+/// `FitsSet`, which reads nothing from the binary itself.
+#[derive(Clone)]
+struct FitsOps {
+    ops: Vec<FitsOp>,
+    exec: FitsSet,
+}
+
+impl InstrSet for FitsOps {
+    type Op = FitsOp;
+
+    fn entry_pc(&self) -> u32 {
+        TEXT_BASE
+    }
+    fn op_size(&self) -> u32 {
+        2
+    }
+    fn op_count(&self) -> usize {
+        self.ops.len()
+    }
+    fn initial_data(&self) -> &[u8] {
+        &[]
+    }
+    fn op_at(&self, pc: u32) -> Result<&FitsOp, SimError> {
+        pc.checked_sub(TEXT_BASE)
+            .filter(|off| off % 2 == 0)
+            .and_then(|off| self.ops.get((off / 2) as usize))
+            .ok_or(SimError::BadPc { pc })
+    }
+    fn fetch_word(&self, word_addr: u32) -> u32 {
+        word_addr.wrapping_mul(0x9e37_79b9)
+    }
+    fn describe(&self, op: &FitsOp) -> OpMeta {
+        powerfits::core::op_meta(op)
+    }
+    fn lower(&self, pc: u32, op: &FitsOp) -> LoweredOp {
+        self.exec.lower(pc, op)
+    }
+    fn execute(&self, op: &FitsOp, ctx: &mut ExecCtx<'_>) -> Result<StepOutcome, SimError> {
+        self.exec.execute(op, ctx)
+    }
+}
+
+/// A `jalr` that jumps backwards is predicted taken (BTFNT), so it must
+/// not count as mispredicted: the recorder folds that per run, not per
+/// op, and must agree with the reference model.
+#[test]
+fn backward_jalr_prices_like_the_reference() {
+    let plain = FitsOp::Plain;
+    let imm = |v| Operand2::imm(v).expect("encodable");
+    let ops = vec![
+        plain(Instr::mov(Reg::R1, imm(3))),
+        plain(Instr::b(2)), // to main
+        // func: r0 += 1; return
+        plain(Instr::dp(DpOp::Add, Reg::R0, Reg::R0, imm(1))),
+        plain(Instr::mov(Reg::PC, Operand2::reg(Reg::LR))),
+        plain(Instr::Swi {
+            cond: Cond::Al,
+            imm: 0,
+        }),
+        // main: r4 = &func; loop: jalr r4; r1 -= 1; bne loop
+        FitsOp::WideImm {
+            op: DpOp::Mov,
+            set_flags: false,
+            rd: Reg::R4,
+            rn: Reg::R4,
+            imm: TEXT_BASE + 2 * 2,
+        },
+        FitsOp::Jalr(Reg::R4),
+        plain(Instr::Dp {
+            cond: Cond::Al,
+            op: DpOp::Sub,
+            set_flags: true,
+            rd: Reg::R1,
+            rn: Reg::R1,
+            op2: imm(1),
+        }),
+        plain(Instr::b(-4).with_cond(Cond::Ne)),
+        plain(Instr::Swi {
+            cond: Cond::Al,
+            imm: 0,
+        }),
+    ];
+    let exec = FitsSet::load(&FitsProgram {
+        instrs: Vec::new(),
+        data: Vec::new(),
+        entry: 0,
+        config: DecoderConfig {
+            ops: Vec::new(),
+            regs: RegMap::full(),
+            dicts: Dictionaries::default(),
+        },
+    })
+    .expect("empty binary loads");
+    let set = FitsOps { ops, exec };
+    let compiled = CompiledProgram::compile(&set).expect("compiles to blocks");
+    let trace = Machine::new(set.clone())
+        .run_recorded(&compiled)
+        .expect("recorded run");
+    assert_eq!(trace.output.exit_code, 3, "three calls");
+    let backward_jalrs = trace
+        .branches()
+        .filter(|&(index, taken, backward)| index == 6 && taken && backward)
+        .count();
+    assert_eq!(backward_jalrs, 3);
+    for cfg in sweep_configs() {
+        let (out, reference) = fits_sim_ref::run_timed(&set, &cfg).expect("reference run");
+        assert_eq!(out, trace.output);
+        assert_eq!(trace.price(&compiled, &cfg).expect("price"), reference);
     }
 }
