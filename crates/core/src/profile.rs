@@ -359,7 +359,7 @@ pub fn profile_recorded(
     let compiled = CompiledProgram::compile(&set)?;
     let mut machine = Machine::new(set);
     let trace = machine.run_recorded(&compiled)?;
-    let exec_counts = trace.exec_counts(compiled.op_count());
+    let exec_counts = trace.exec_counts().to_vec();
     let run = trace.output;
 
     let mut p = Profile {

@@ -131,7 +131,7 @@ pub fn trace_timed_run<S: InstrSet>(
 
     let templates = compiled.templates();
     let mut retires = PcHistogram::new(TEXT_BASE, op_size);
-    for (template, count) in templates.iter().zip(recorded.exec_counts(templates.len())) {
+    for (template, &count) in templates.iter().zip(recorded.exec_counts()) {
         if count > 0 {
             retires.add(template.pc, count);
         }

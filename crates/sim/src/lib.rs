@@ -11,7 +11,10 @@
 //! record one functional execution ([`Machine::run_recorded`]), then price
 //! any number of configurations from the trace
 //! ([`RecordedTrace::price_all`], or [`RecordedTrace::price_with`] to
-//! observe every cache event).
+//! observe every cache event). Every pricing call runs one pipeline pass
+//! that fills one event buffer for the configurations' lanes to drain, and
+//! prices each whole basic-block run from a pre-scheduled issue template
+//! of its block instead of walking the pipeline op by op.
 //!
 //! The crate is deliberately ISA-agnostic: anything implementing
 //! [`InstrSet`] can be simulated. [`Ar32Set`] runs native AR32 programs;

@@ -40,18 +40,31 @@
 //!    same stalls and the same cycle stream — every [`SimResult`] field,
 //!    peak windows included, is identical — and one replay prices both.
 //!
-//! The pipeline pass delivers its events through one of two drains, picked
-//! by [`RecordedTrace::price_all`] from the number of lanes it replays: the
-//! fused single-lane drain ([`FusedSink`], also the only one that can
-//! report events to a [`CacheEventObserver`]) applies each event inline,
-//! and the batch drain ([`BufferSink`]) buffers events in bounded chunks
-//! that every lane then drains in a tight loop.
+//! Every `price*` call runs the same pass: the pipeline fills one bounded
+//! [`EventBuffer`], and every lane drains each chunk of it in a tight loop
+//! that also reports each access to a [`CacheEventObserver`] (the no-op
+//! `()` of [`RecordedTrace::price`] and [`RecordedTrace::price_all`]
+//! compiles away).
+//!
+//! The pipeline walk itself is priced **a block at a time**. Inside one
+//! basic block whose ops take their executed outcome, the walk depends on
+//! nothing dynamic but a few values at the block's edges, so each block
+//! the trace runs whole is pre-run once per pricing call into a
+//! [`BlockTemplate`]: its events with base-cycle offsets, fetch addresses
+//! and toggles, D-cache access slots and penalty deltas, plus its totals
+//! and exit state, from both entry states its first op can leave. A run of
+//! the block replays the first op through the per-op path, then copies
+//! the template's events, patched for the carried load-use stall, the
+//! re-fetch after a deferred dedup reset, the memory stream and the
+//! terminator's recorded outcome ([`Replay::run_block`]). Runs that start
+//! mid-block or skip an op before the terminator take the per-op path,
+//! which is also the code the templates are generated from.
 //!
 //! The differential tests (`tests/replay_multi.rs`, `tests/prop_replay.rs`
-//! and the `fits-obs` suite) hold both drains bit-identical, on every
-//! counter of [`SimResult`] and every [`CacheEventObserver`] event, to the
-//! interpreted per-step reference model kept in the dev-only
-//! `fits-sim-ref` crate.
+//! and the `fits-obs` suite) hold single- and multi-lane pricing
+//! bit-identical, on every counter of [`SimResult`] and every
+//! [`CacheEventObserver`] event, to the interpreted per-step reference
+//! model kept in the dev-only `fits-sim-ref` crate.
 
 use fits_isa::{InstrClass, Reg};
 
@@ -464,6 +477,8 @@ pub struct RecordedTrace {
     pub(crate) token: u64,
     /// Pairing-independent aggregates, folded once at record time.
     pub(crate) statics: StaticCounters,
+    /// Per-static-op retire counts, built once at record time.
+    pub(crate) counts: Vec<u64>,
 }
 
 /// Instruction-mix aggregates that depend only on the retired-op stream,
@@ -506,12 +521,12 @@ impl RecordedTrace {
         &self.entries
     }
 
-    /// Per-static-op execution counts, by difference array over the trace
-    /// entries — O(entries + ops) instead of one increment per retired
-    /// instruction (the profiler's hot loop).
+    /// Per-static-op execution counts (index == op index), built once by
+    /// difference array over the trace entries when the trace was
+    /// recorded — no walk of the trace here.
     #[must_use]
-    pub fn exec_counts(&self, op_count: usize) -> Vec<u64> {
-        exec_counts(&self.entries, op_count)
+    pub fn exec_counts(&self) -> &[u64] {
+        &self.counts
     }
 
     /// Per retired branch, in retire order: `(op index, taken, backward)`,
@@ -529,11 +544,9 @@ impl RecordedTrace {
     /// Replays the SA-1100 pipeline once over the trace and prices **all**
     /// configurations. Returns one [`SimResult`] per configuration, in
     /// order. Each class of [`CompiledProgram::replay_classes`] is replayed
-    /// once and its result copied to every member. A single class runs the
-    /// fused drain (the same pass as [`RecordedTrace::price`]); more than
-    /// one run the batch drain, which amortizes one pipeline pass over
-    /// every lane. Both drains give bit-identical results; an empty slice
-    /// runs no pass at all.
+    /// as one lane of a single pipeline pass and its result copied to every
+    /// member; an empty slice runs no pass at all. Results are
+    /// bit-identical to pricing each configuration alone.
     ///
     /// # Errors
     ///
@@ -553,11 +566,10 @@ impl RecordedTrace {
             .filter(|&(i, _)| classes[i] == i)
             .map(|(_, cfg)| cfg)
             .collect();
-        let sims = match replayed.as_slice() {
-            [] => return Ok(Vec::new()),
-            [cfg] => vec![self.price(compiled, cfg)?],
-            _ => self.price_batch(compiled, &replayed)?,
-        };
+        if replayed.is_empty() {
+            return Ok(Vec::new());
+        }
+        let (sims, _) = self.replay(compiled, &replayed, &mut ())?;
         // Representatives precede their members, so a member copies a
         // result already in place.
         let mut fresh = sims.into_iter();
@@ -587,8 +599,9 @@ impl RecordedTrace {
     }
 
     /// Single-configuration replay reporting every cache access to `obs`,
-    /// in the order the timing model performs them — the fused drain: one
-    /// pipeline pass applying each event to the lane inline.
+    /// in the order the timing model performs them. The lane reports each
+    /// access as it drains the event buffer; the no-op `()` observer of
+    /// [`RecordedTrace::price`] compiles away.
     ///
     /// # Errors
     ///
@@ -600,14 +613,8 @@ impl RecordedTrace {
         obs: &mut O,
     ) -> Result<SimResult, SimError> {
         self.check_compiled(compiled)?;
-        let lane = Lane::new(cfg)?;
-        let mut replay = Replay::new(FusedSink { lane, obs });
-        let mut cursor = OpCursor::new(self, compiled.templates());
-        while let Some(op) = cursor.next_op() {
-            replay.observe(op);
-        }
-        replay.flush_pending();
-        Ok(replay.sink.lane.into_result(&replay.shared, &self.statics))
+        let (mut sims, _) = self.replay(compiled, &[cfg], obs)?;
+        Ok(sims.pop().expect("one lane per configuration"))
     }
 
     /// Checks that `compiled` is the program this trace was recorded from.
@@ -620,64 +627,67 @@ impl RecordedTrace {
         Ok(())
     }
 
-    /// The batch drain behind [`RecordedTrace::price_all`] for more than
-    /// one replayed lane: the pipeline pass fills a bounded buffer of
-    /// cache/penalty events (so memory stays constant no matter how long
-    /// the trace is), and each full buffer is drained by every lane in a
-    /// tight, branch-light loop. One lane's cache state stays hot in L1 for
-    /// a whole chunk instead of being evicted by its neighbours on every
-    /// op, which is what makes this faster than one fused pass per
-    /// configuration. Event order and cycle reconstruction are identical to
-    /// the fused drain, so results stay bit-identical regardless of lane
-    /// count.
-    fn price_batch(
+    /// The one pricing pass behind every `price*` call: the pipeline fills
+    /// a bounded buffer of cache events (so memory stays constant no matter
+    /// how long the trace is), and each full buffer is drained by every
+    /// lane in a tight, branch-light loop that also reports each access to
+    /// `obs`. A trace entry that runs a whole block with its ops' executed
+    /// outcomes is priced from the block's [`BlockTemplate`]; every other
+    /// entry walks the pipeline op by op. Also returns the number of
+    /// retired ops priced from templates.
+    fn replay<O: CacheEventObserver>(
         &self,
         compiled: &CompiledProgram,
         cfgs: &[&Sa1100Config],
-    ) -> Result<Vec<SimResult>, SimError> {
+        obs: &mut O,
+    ) -> Result<(Vec<SimResult>, u64), SimError> {
         /// Events per chunk: small enough (16 B each) to stay
         /// cache-resident, large enough to amortize the loop switches.
-        const CHUNK_EVENTS: usize = 1 << 15;
+        const CHUNK_EVENTS: usize = 1 << 12;
 
         let mut lanes = cfgs
             .iter()
             .map(|cfg| Lane::new(cfg))
             .collect::<Result<Vec<_>, _>>()?;
-        let mut replay = Replay::new(BufferSink {
-            // One op can emit at most 1 I-cache + 1 D-cache event, so a
-            // small slack past the target avoids reallocation.
-            buf: Vec::with_capacity(CHUNK_EVENTS + 8),
-            pending: [0; 3],
-            last_word: [0; 2],
-        });
-        let mut cursor = OpCursor::new(self, compiled.templates());
-        let mut done = false;
-        while !done {
-            while replay.sink.buf.len() < CHUNK_EVENTS {
-                match cursor.next_op() {
-                    Some(op) => replay.observe(op),
-                    None => {
-                        replay.flush_pending();
-                        done = true;
-                        break;
+        let steps = compiled.templates();
+        let mut blocks = BlockTemplates::new(compiled);
+        let mut replay = Replay::new(Vec::with_capacity(CHUNK_EVENTS + 64));
+        let (mut flag, mut mem, mut templated) = (0, 0, 0);
+        for entry in &self.entries {
+            let start = entry.start as usize;
+            let bytes = &self.flags[flag..flag + entry.len as usize];
+            flag += bytes.len();
+            match blocks.lookup(start, bytes) {
+                Some(block) => {
+                    replay.run_block(block, &steps[start..], bytes, &self.mem, &mut mem);
+                    templated += bytes.len() as u64;
+                }
+                None => {
+                    for (step, &byte) in steps[start..].iter().zip(bytes) {
+                        replay.observe(RetiredOp::decode(step, byte, &self.mem, &mut mem));
                     }
                 }
             }
-            for lane in &mut lanes {
-                lane.apply(&replay.sink.buf);
+            if replay.sink.buf.len() >= CHUNK_EVENTS {
+                for lane in &mut lanes {
+                    lane.apply(&replay.sink.buf, obs);
+                }
+                replay.sink.buf.clear();
             }
-            replay.sink.buf.clear();
         }
-        // Penalty events after the final cache access never rode a packed
-        // delta; fold them into every lane's clock now.
+        replay.flush_pending();
         for lane in &mut lanes {
-            lane.apply_trailing(&replay.sink.pending);
+            lane.apply(&replay.sink.buf, obs);
+            // Penalty events after the final cache access never rode a
+            // packed delta; fold them into every lane's clock now.
+            lane.apply_deltas(replay.sink.deltas);
         }
         let shared = replay.shared;
-        Ok(lanes
+        let sims = lanes
             .into_iter()
             .map(|lane| lane.into_result(&shared, &self.statics))
-            .collect())
+            .collect();
+        Ok((sims, templated))
     }
 }
 
@@ -772,6 +782,7 @@ impl<'c> TraceRecorder<'c> {
             mem: self.mem,
             token: compiled.token(),
             statics: s,
+            counts,
         }
     }
 }
@@ -809,69 +820,6 @@ impl Recorder for TraceRecorder<'_> {
     }
 }
 
-/// A cursor decoding the compact trace back into [`RetiredOp`]s, one at a
-/// time — the shared driver of both drains.
-struct OpCursor<'t> {
-    templates: &'t [StepTemplate],
-    entries: &'t [TraceEntry],
-    flags: &'t [u8],
-    mem: &'t [(u32, u32)],
-    entry_idx: usize,
-    pos: u32,
-    flag_idx: usize,
-    mem_idx: usize,
-}
-
-impl<'t> OpCursor<'t> {
-    fn new(trace: &'t RecordedTrace, templates: &'t [StepTemplate]) -> OpCursor<'t> {
-        OpCursor {
-            templates,
-            entries: &trace.entries,
-            flags: &trace.flags,
-            mem: &trace.mem,
-            entry_idx: 0,
-            pos: 0,
-            flag_idx: 0,
-            mem_idx: 0,
-        }
-    }
-
-    fn next_op(&mut self) -> Option<RetiredOp<'t>> {
-        loop {
-            let entry = self.entries.get(self.entry_idx)?;
-            if self.pos == entry.len {
-                self.entry_idx += 1;
-                self.pos = 0;
-                continue;
-            }
-            let template = &self.templates[(entry.start + self.pos) as usize];
-            self.pos += 1;
-            let f = self.flags[self.flag_idx];
-            self.flag_idx += 1;
-            let executed = f & F_EXECUTED != 0;
-            let mem = if f & F_MEM != 0 {
-                let (addr, data) = self.mem[self.mem_idx];
-                self.mem_idx += 1;
-                Some((addr, data, f & F_MEM_LOAD != 0))
-            } else {
-                None
-            };
-            let branch = if f & F_BRANCH != 0 {
-                Some((f & F_TAKEN != 0, f & F_BACKWARD != 0))
-            } else {
-                None
-            };
-            return Some(RetiredOp {
-                template,
-                is_mul: template.is_mul && executed,
-                sets_flags: template.sets_flags && executed,
-                mem,
-                branch,
-            });
-        }
-    }
-}
-
 /// One retired op reconstructed from a template plus its recorded dynamic
 /// outcome.
 #[derive(Clone, Copy)]
@@ -884,6 +832,39 @@ struct RetiredOp<'a> {
     mem: Option<(u32, u32, bool)>,
     /// `(taken, backward)`.
     branch: Option<(bool, bool)>,
+}
+
+impl<'a> RetiredOp<'a> {
+    /// The op of `template` whose recorded outcome byte is `byte`, taking
+    /// its access (if any) from `mem[*next]` and advancing `next` past it.
+    #[inline]
+    fn decode(
+        template: &'a StepTemplate,
+        byte: u8,
+        mem: &[(u32, u32)],
+        next: &mut usize,
+    ) -> RetiredOp<'a> {
+        let executed = byte & F_EXECUTED != 0;
+        let access = if byte & F_MEM != 0 {
+            let (addr, data) = mem[*next];
+            *next += 1;
+            Some((addr, data, byte & F_MEM_LOAD != 0))
+        } else {
+            None
+        };
+        let branch = if byte & F_BRANCH != 0 {
+            Some((byte & F_TAKEN != 0, byte & F_BACKWARD != 0))
+        } else {
+            None
+        };
+        RetiredOp {
+            template,
+            is_mul: template.is_mul && executed,
+            sets_flags: template.sets_flags && executed,
+            mem: access,
+            branch,
+        }
+    }
 }
 
 /// Per-configuration timing state: the structure-of-arrays slice of the
@@ -941,38 +922,43 @@ impl Lane {
         base + self.event_cycles + self.stalls[0] + self.stalls[1]
     }
 
-    /// Drains one buffered event chunk — the per-lane hot loop of the
-    /// batch engine. Every event is a cache access (penalty outcomes ride
-    /// along as packed deltas, applied *before* the access — exactly when
-    /// [`FusedSink`] would have bumped `event_cycles`), so the loop body
-    /// is completely branch-free up to the cache's own hit/miss handling:
-    /// no data-dependent dispatch to mispredict on.
-    fn apply(&mut self, events: &[ReplayEvent]) {
+    /// Drains one buffered event chunk — the per-lane hot loop. Every
+    /// event is a cache access (penalty outcomes ride along as packed
+    /// deltas, applied *before* the access — exactly when a per-step model
+    /// bumps its clock), so the loop body is branch-free up to the cache's
+    /// own hit/miss handling. Each access is reported to `obs`; for the
+    /// no-op `()` observer the report compiles away.
+    #[inline]
+    fn apply<O: CacheEventObserver>(&mut self, events: &[ReplayEvent], obs: &mut O) {
         for ev in events {
             let p = ev.packed;
             // Penalty deltas are zero on the vast majority of events
             // (only branches and multiplies produce them), so one
             // well-predicted branch beats three unconditional multiplies.
             if p >> D_MUL != 0 {
-                self.event_cycles += ((p >> D_MUL) & D_MAX) * self.event_penalty[0]
-                    + ((p >> D_TAKEN) & D_MAX) * self.event_penalty[1]
-                    + ((p >> D_MISPREDICT) & D_MAX) * self.event_penalty[2];
+                self.apply_deltas(p);
             }
             let which = ((p >> K_DCACHE) & 1) as usize;
             let write = (p >> K_WRITE) & 1 != 0;
-            let cycle = (p & BASE_MASK) + self.event_cycles + self.stalls[0] + self.stalls[1];
+            let cycle = self.cycle_at(p & BASE_MASK);
             let hit =
                 self.caches[which].access_toggles(ev.addr, write, u64::from(ev.toggles), cycle);
             self.stalls[which] += self.miss_penalty[which] * u64::from(!hit);
+            if which == 0 {
+                obs.icache_access(ev.addr, hit);
+            } else {
+                obs.dcache_access(ev.addr, write, hit);
+            }
         }
     }
 
-    /// Folds penalty deltas that trail the last cache event (accumulated
-    /// in the sink but never attached to an access) into the lane clock.
-    fn apply_trailing(&mut self, pending: &[u64; 3]) {
-        self.event_cycles += pending[0] * self.event_penalty[0]
-            + pending[1] * self.event_penalty[1]
-            + pending[2] * self.event_penalty[2];
+    /// Folds the three penalty-delta nibbles of a packed word into the
+    /// lane clock.
+    #[inline]
+    fn apply_deltas(&mut self, p: u64) {
+        self.event_cycles += ((p >> D_MUL) & D_MAX) * self.event_penalty[0]
+            + ((p >> D_TAKEN) & D_MAX) * self.event_penalty[1]
+            + ((p >> D_MISPREDICT) & D_MAX) * self.event_penalty[2];
     }
 
     /// Finalizes the caches and assembles this lane's [`SimResult`] from
@@ -1004,15 +990,13 @@ impl Lane {
 }
 
 /// One lane-facing event emitted by the shared pipeline pass, packed into
-/// 16 bytes: the kind tag lives in the top byte of `tagged_base`, the
-/// snapshot of [`SharedCounters::base_cycles`] at the access in the low 56
-/// bits (a run would need two years of simulated 2.4 GHz time to
-/// overflow). The snapshot lets a lane reconstruct the exact interpreted
-/// cycle as `base + event_cycles + stalls` without seeing the pipeline at
-/// all.
-#[derive(Clone, Copy)]
+/// 16 bytes. The snapshot of [`SharedCounters::base_cycles`] at the access
+/// lets a lane reconstruct the exact interpreted cycle as
+/// `base + event_cycles + stalls` without seeing the pipeline at all.
+#[derive(Clone, Copy, Debug)]
 struct ReplayEvent {
-    /// Accessed address.
+    /// Accessed address. In a [`BlockTemplate`], a D-cache event holds
+    /// instead the index of its access among the block's accesses.
     addr: u32,
     /// Output-port toggle count for this access. The toggle sequence is a
     /// pure function of the access stream (XOR chain over the data words),
@@ -1042,88 +1026,33 @@ const D_MISPREDICT: u32 = 58;
 /// most a handful of penalty events between consecutive cache accesses
 /// (every op is fetched, and an issue group holds at most one multiply
 /// and one branch), so 15 is unreachable in practice; the debug assert in
-/// [`BufferSink::push`] guards the invariant.
+/// [`EventBuffer::penalty`] guards the invariant.
 const D_MAX: u64 = 0xf;
 
-/// Where the shared pipeline pass delivers lane-facing events: either
-/// straight into a single lane ([`FusedSink`], the fused drain), or into a
-/// bounded buffer ([`BufferSink`], the batch drain).
-trait EventSink {
-    fn icache(&mut self, addr: u32, data: u32, base: u64);
-    fn dcache(&mut self, addr: u32, write: bool, data: u32, base: u64);
-    fn mul_event(&mut self);
-    fn taken_event(&mut self);
-    fn mispredict_event(&mut self);
-}
-
-/// The fused sink: applies each event to its one lane inline and reports
-/// the lane's cache outcomes to the observer.
-struct FusedSink<'o, O: CacheEventObserver> {
-    lane: Lane,
-    obs: &'o mut O,
-}
-
-impl<O: CacheEventObserver> EventSink for FusedSink<'_, O> {
-    fn icache(&mut self, addr: u32, data: u32, base: u64) {
-        let lane = &mut self.lane;
-        let hit = lane.caches[0].access(addr, false, data, lane.cycle_at(base));
-        if !hit {
-            lane.stalls[0] += lane.miss_penalty[0];
-        }
-        self.obs.icache_access(addr, hit);
-    }
-
-    fn dcache(&mut self, addr: u32, write: bool, data: u32, base: u64) {
-        let lane = &mut self.lane;
-        let hit = lane.caches[1].access(addr, write, data, lane.cycle_at(base));
-        if !hit {
-            lane.stalls[1] += lane.miss_penalty[1];
-        }
-        self.obs.dcache_access(addr, write, hit);
-    }
-
-    fn mul_event(&mut self) {
-        self.lane.event_cycles += self.lane.event_penalty[0];
-    }
-
-    fn taken_event(&mut self) {
-        self.lane.event_cycles += self.lane.event_penalty[1];
-    }
-
-    fn mispredict_event(&mut self) {
-        self.lane.event_cycles += self.lane.event_penalty[2];
-    }
-}
-
-/// The batch sink: records each cache access (with its `base_cycles`
-/// snapshot) for lanes to drain later in tight per-lane loops. Penalty
-/// outcomes are not events of their own — they accumulate in `pending`
-/// and ride the next cache event as packed deltas, so the lane loop sees
-/// a homogeneous, branch-free stream.
-struct BufferSink {
+/// Where the pipeline pass delivers lane-facing events: each cache access
+/// (with its `base_cycles` snapshot) is buffered for lanes to drain later
+/// in tight per-lane loops. Penalty outcomes are not events of their own —
+/// they accumulate in `deltas` and ride the next cache event as packed
+/// deltas, so the lane loop sees a homogeneous, branch-free stream.
+struct EventBuffer {
     buf: Vec<ReplayEvent>,
-    /// Penalty events since the last cache event:
-    /// `[muls, taken, mispredicts]`.
-    pending: [u64; 3],
+    /// Penalty events since the last cache event, packed into the `D_*`
+    /// nibbles exactly as they will ride the next event.
+    deltas: u64,
     /// Last word seen on each cache's output port (`[icache, dcache]`) —
     /// the pipeline-side mirror of `Cache::last_output`, used to compute
     /// each access's toggle count once instead of per lane.
     last_word: [u32; 2],
 }
 
-impl BufferSink {
+impl EventBuffer {
+    #[inline(always)]
     fn push(&mut self, addr: u32, data: u32, base: u64, dcache: bool, write: bool) {
-        debug_assert!(
-            self.pending.iter().all(|&p| p <= D_MAX) && base <= BASE_MASK,
-            "replay event field overflow"
-        );
+        debug_assert!(base <= BASE_MASK, "replay event field overflow");
         let packed = base
             | u64::from(dcache) << K_DCACHE
             | u64::from(write) << K_WRITE
-            | self.pending[0] << D_MUL
-            | self.pending[1] << D_TAKEN
-            | self.pending[2] << D_MISPREDICT;
-        self.pending = [0; 3];
+            | std::mem::take(&mut self.deltas);
         let toggles = (self.last_word[usize::from(dcache)] ^ data).count_ones();
         self.last_word[usize::from(dcache)] = data;
         self.buf.push(ReplayEvent {
@@ -1132,27 +1061,15 @@ impl BufferSink {
             packed,
         });
     }
-}
 
-impl EventSink for BufferSink {
-    fn icache(&mut self, addr: u32, data: u32, base: u64) {
-        self.push(addr, data, base, false, false);
-    }
-
-    fn dcache(&mut self, addr: u32, write: bool, data: u32, base: u64) {
-        self.push(addr, data, base, true, write);
-    }
-
-    fn mul_event(&mut self) {
-        self.pending[0] += 1;
-    }
-
-    fn taken_event(&mut self) {
-        self.pending[1] += 1;
-    }
-
-    fn mispredict_event(&mut self) {
-        self.pending[2] += 1;
+    /// Counts one penalty event into the nibble at `shift`.
+    #[inline(always)]
+    fn penalty(&mut self, shift: u32) {
+        debug_assert!(
+            (self.deltas >> shift) & D_MAX < D_MAX,
+            "replay event field overflow"
+        );
+        self.deltas += 1 << shift;
     }
 }
 
@@ -1171,13 +1088,15 @@ struct SharedCounters {
 
 /// The replay pipeline: the SA-1100 fetch / pair / issue / account state
 /// machine, run **once** for all lanes, delivering lane-facing events
-/// through an [`EventSink`]. The order of cache accesses within a
+/// into its [`EventBuffer`]. The order of cache accesses within a
 /// dual-issue group and the deferred fetch-dedup reset after taken
 /// branches are part of the model: the interpreted reference in
 /// `fits-sim-ref` follows the same steps per retired instruction, and the
-/// differential tests hold the two bit-identical.
-struct Replay<'a, S: EventSink> {
-    sink: S,
+/// differential tests hold the two bit-identical. The per-op steps are
+/// `#[inline(always)]`: left to the inliner they stayed out of line, and
+/// the per-op walk priced a single ARM lane at 26 ns/op instead of 18.
+struct Replay<'a> {
+    sink: EventBuffer,
     shared: SharedCounters,
     pending: Option<RetiredOp<'a>>,
     last_fetch_word: Option<u32>,
@@ -1187,10 +1106,14 @@ struct Replay<'a, S: EventSink> {
     load_dest_this_group: u16,
 }
 
-impl<'a, S: EventSink> Replay<'a, S> {
-    fn new(sink: S) -> Replay<'a, S> {
+impl<'a> Replay<'a> {
+    fn new(buf: Vec<ReplayEvent>) -> Replay<'a> {
         Replay {
-            sink,
+            sink: EventBuffer {
+                buf,
+                deltas: 0,
+                last_word: [0; 2],
+            },
             shared: SharedCounters::default(),
             pending: None,
             last_fetch_word: None,
@@ -1199,15 +1122,18 @@ impl<'a, S: EventSink> Replay<'a, S> {
         }
     }
 
+    #[inline(always)]
     fn fetch(&mut self, template: &StepTemplate) {
         if self.last_fetch_word == Some(template.fetch_word_addr) {
             return; // second half of the same 32-bit fetch (16-bit ISAs)
         }
         self.last_fetch_word = Some(template.fetch_word_addr);
-        self.sink.icache(
+        self.sink.push(
             template.fetch_word_addr,
             template.fetch_word_value,
             self.shared.base_cycles,
+            false,
+            false,
         );
     }
 
@@ -1237,6 +1163,7 @@ impl<'a, S: EventSink> Replay<'a, S> {
         true
     }
 
+    #[inline(always)]
     fn issue_group(&mut self, first: RetiredOp<'a>, second: Option<RetiredOp<'a>>) {
         self.shared.base_cycles += 1;
         self.shared.issue_groups += 1;
@@ -1265,31 +1192,39 @@ impl<'a, S: EventSink> Replay<'a, S> {
     /// aggregates a per-step model would fold here are pairing-independent
     /// and already pre-computed in the trace's [`StaticCounters`], so the
     /// per-op pipeline work is only what the lanes actually need to see.
+    #[inline(always)]
     fn account(&mut self, op: &RetiredOp<'_>) {
         if op.is_mul {
-            self.sink.mul_event();
+            self.sink.penalty(D_MUL);
         }
         if let Some((addr, data, is_load)) = op.mem {
             self.sink
-                .dcache(addr, !is_load, data, self.shared.base_cycles);
+                .push(addr, data, self.shared.base_cycles, true, !is_load);
             if is_load {
                 self.load_dest_this_group = op.template.dest0_mask;
             }
         }
         if let Some((taken, backward)) = op.branch {
-            let predicted_taken = backward; // BTFNT
-            if taken != predicted_taken {
-                self.sink.mispredict_event();
-            } else if taken {
-                self.sink.taken_event();
-            }
-            if taken {
-                // The next fetch starts at the target word.
-                self.last_fetch_word = None;
-            }
+            self.branch(taken, backward);
         }
     }
 
+    /// A retired branch's penalty and fetch redirect.
+    #[inline(always)]
+    fn branch(&mut self, taken: bool, backward: bool) {
+        let predicted_taken = backward; // BTFNT
+        if taken != predicted_taken {
+            self.sink.penalty(D_MISPREDICT);
+        } else if taken {
+            self.sink.penalty(D_TAKEN);
+        }
+        if taken {
+            // The next fetch starts at the target word.
+            self.last_fetch_word = None;
+        }
+    }
+
+    #[inline(always)]
     fn observe(&mut self, op: RetiredOp<'a>) {
         self.fetch(op.template);
         match self.pending.take() {
@@ -1311,6 +1246,240 @@ impl<'a, S: EventSink> Replay<'a, S> {
         if let Some(prev) = self.pending.take() {
             self.issue_group(prev, None);
         }
+    }
+
+    /// Prices one run of a whole block from its template, leaving the
+    /// pipeline exactly as `observe` over each op would: `steps` starts at
+    /// the block's first op, `bytes` are the run's outcome bytes, and
+    /// `next` indexes the block's first access in `mem` (advanced past the
+    /// block's accesses).
+    ///
+    /// The first op goes through [`Replay::observe`], so it meets the
+    /// carried pending op; the template of the resulting entry state then
+    /// stands for the rest, patched for what it cannot know statically.
+    fn run_block(
+        &mut self,
+        block: &BlockTemplate,
+        steps: &'a [StepTemplate],
+        bytes: &[u8],
+        mem: &[(u32, u32)],
+        next: &mut usize,
+    ) {
+        let first_access = *next;
+        self.observe(RetiredOp::decode(&steps[0], bytes[0], mem, next));
+        let tpl = &block.entry[usize::from(self.pending.is_none())];
+        // A taken branch left pending resets fetch dedup only after this
+        // block's first fetch, so a second op sharing that fetch word is
+        // fetched again.
+        if self.last_fetch_word.is_none() && steps[1].fetch_word_addr == steps[0].fetch_word_addr {
+            self.fetch(&steps[1]);
+        }
+
+        // A load issued by the previous group stalls the template's first
+        // group, which delays every event from that issue on by a cycle.
+        let stall = u64::from(self.last_group_load_dest & tpl.first_group_sources != 0);
+        let base = self.shared.base_cycles;
+        let sink = &mut self.sink;
+        let at = sink.buf.len();
+        sink.buf.extend(tpl.events.iter().map(|ev| {
+            let after_issue = ev.packed & BASE_MASK != 0;
+            ReplayEvent {
+                packed: ev.packed + base + (stall & u64::from(after_issue)),
+                ..*ev
+            }
+        }));
+        // D-cache events take their access from the memory stream.
+        let accesses = &mem[first_access..];
+        for &i in tpl.dcache_events.iter() {
+            let ev = &mut sink.buf[at + i as usize];
+            let (addr, data) = accesses[ev.addr as usize];
+            ev.addr = addr;
+            ev.toggles = (sink.last_word[1] ^ data).count_ones();
+            sink.last_word[1] = data;
+        }
+        // Deltas pending at entry ride the template's first event.
+        if let Some(first) = sink.buf.get_mut(at) {
+            first.packed += std::mem::take(&mut sink.deltas);
+        }
+        sink.deltas += tpl.trailing;
+        let last = &steps[bytes.len() - 1];
+        sink.last_word[0] = last.fetch_word_value;
+        self.shared.base_cycles += tpl.base_cycles + stall;
+        self.shared.issue_groups += tpl.issue_groups;
+        self.shared.dual_issues += tpl.dual_issues;
+        self.shared.load_use_stalls += tpl.load_use_stalls + stall;
+        if tpl.issue_groups > 0 {
+            self.last_group_load_dest = tpl.exit_load_dest;
+        }
+        self.last_fetch_word = Some(last.fetch_word_addr);
+
+        // The terminator: still pending, or issued inside the template,
+        // which then owes its recorded branch outcome.
+        let term = bytes[bytes.len() - 1];
+        *next = first_access + block.accesses;
+        if tpl.ends_pending {
+            let mut at = *next - usize::from(term & F_MEM != 0);
+            self.pending = Some(RetiredOp::decode(last, term, mem, &mut at));
+        } else {
+            self.pending = None;
+            if term & F_BRANCH != 0 {
+                self.branch(term & F_TAKEN != 0, term & F_BACKWARD != 0);
+            }
+        }
+    }
+}
+
+/// One block's pipeline pass from one entry state, pre-run over the
+/// block's executed-outcome bytes from its second op on. Event base
+/// snapshots are offsets from the block's entry; an offset of zero marks
+/// an event that precedes the first issue. D-cache events carry the index
+/// of their access among the block's accesses in place of an address.
+struct IssueTemplate {
+    events: Box<[ReplayEvent]>,
+    /// Indices into `events` of the D-cache events.
+    dcache_events: Box<[u32]>,
+    /// Penalty deltas after the last event, packed as in
+    /// [`EventBuffer::deltas`].
+    trailing: u64,
+    base_cycles: u64,
+    issue_groups: u64,
+    dual_issues: u64,
+    load_use_stalls: u64,
+    /// Sources of the first group issued (0 when none is), which a load in
+    /// the group before the block can stall.
+    first_group_sources: u16,
+    /// `last_group_load_dest` after the last group issued, if any is.
+    exit_load_dest: u16,
+    /// Whether the terminator is still pending at exit (otherwise it was
+    /// issued paired with the op before it).
+    ends_pending: bool,
+}
+
+/// The issue templates of one basic block.
+struct BlockTemplate {
+    len: usize,
+    /// Memory accesses of the block's executed-outcome ops.
+    accesses: usize,
+    /// Whether the terminator may take any recorded outcome: it has no
+    /// memory access and is not a multiply, so its outcome changes neither
+    /// its pairing nor the access stream.
+    any_terminator: bool,
+    /// `[first op left pending, first op consumed by a carried op]`.
+    entry: [IssueTemplate; 2],
+}
+
+impl BlockTemplate {
+    /// Pre-runs the block of `len` ops at op `first` from both entry
+    /// states. The terminator's branch outcome is left out: the run that
+    /// issues it inside the template applies the recorded one.
+    fn build(compiled: &CompiledProgram, first: usize, len: usize) -> BlockTemplate {
+        let steps = &compiled.templates[first..first + len];
+        let bytes = &compiled.exec_bytes[first..first + len];
+        // A stand-in memory stream whose k-th access has address k, so each
+        // D-cache event records the slot a run fills from the real stream.
+        let slots: Vec<(u32, u32)> = (0..len as u32).map(|slot| (slot, 0)).collect();
+        let mut next = 0;
+        let mut ops: Vec<RetiredOp<'_>> = steps
+            .iter()
+            .zip(bytes)
+            .map(|(step, &byte)| RetiredOp::decode(step, byte, &slots, &mut next))
+            .collect();
+        ops[len - 1].branch = None;
+        let group_sources = |i: usize| {
+            let pair = ops.get(i + 1).filter(|b| Replay::can_pair(&ops[i], b));
+            ops[i].template.source_mask | pair.map_or(0, |b| b.template.source_mask)
+        };
+        let run = |first_pending: bool| {
+            let mut replay = Replay::new(Vec::new());
+            replay.last_fetch_word = Some(steps[0].fetch_word_addr);
+            replay.sink.last_word[0] = steps[0].fetch_word_value;
+            replay.pending = first_pending.then_some(ops[0]);
+            for &op in &ops[1..] {
+                replay.observe(op);
+            }
+            let first_group_sources = if first_pending {
+                group_sources(0)
+            } else if len > 2 {
+                group_sources(1)
+            } else {
+                0
+            };
+            let events = replay.sink.buf;
+            IssueTemplate {
+                dcache_events: (0..events.len() as u32)
+                    .filter(|&i| (events[i as usize].packed >> K_DCACHE) & 1 != 0)
+                    .collect(),
+                events: events.into_boxed_slice(),
+                trailing: replay.sink.deltas,
+                base_cycles: replay.shared.base_cycles,
+                issue_groups: replay.shared.issue_groups,
+                dual_issues: replay.shared.dual_issues,
+                load_use_stalls: replay.shared.load_use_stalls,
+                first_group_sources,
+                exit_load_dest: replay.last_group_load_dest,
+                ends_pending: replay.pending.is_some(),
+            }
+        };
+        let last = &steps[len - 1];
+        BlockTemplate {
+            len,
+            accesses: next,
+            any_terminator: bytes[len - 1] & F_MEM == 0 && !last.is_mul,
+            entry: [run(true), run(false)],
+        }
+    }
+}
+
+/// The block templates of one pricing pass, built on first use: only
+/// blocks the trace runs whole pay for one.
+struct BlockTemplates<'c> {
+    compiled: &'c CompiledProgram,
+    /// Per op: index into `built` of the block it leads, or [`UNBUILT`] /
+    /// [`NO_TEMPLATE`].
+    slot: Vec<u32>,
+    built: Vec<BlockTemplate>,
+}
+
+/// [`BlockTemplates::slot`] of an op not looked up yet.
+const UNBUILT: u32 = u32::MAX;
+/// [`BlockTemplates::slot`] of an op that leads no templated block: it
+/// starts mid-block, or its block is a single op.
+const NO_TEMPLATE: u32 = u32::MAX - 1;
+
+impl<'c> BlockTemplates<'c> {
+    fn new(compiled: &'c CompiledProgram) -> BlockTemplates<'c> {
+        BlockTemplates {
+            compiled,
+            slot: vec![UNBUILT; compiled.op_count()],
+            built: Vec::new(),
+        }
+    }
+
+    /// The template pricing a run of `bytes.len()` ops from op `start`, if
+    /// the run covers its whole block and every op but the terminator took
+    /// its executed outcome (the terminator too, unless any of its
+    /// outcomes is templated).
+    #[inline]
+    fn lookup(&mut self, start: usize, bytes: &[u8]) -> Option<&BlockTemplate> {
+        let mut slot = self.slot[start];
+        if slot == UNBUILT {
+            let block = &self.compiled.blocks[self.compiled.block_of[start] as usize];
+            slot = if block.first as usize == start && block.len >= 2 {
+                let built = BlockTemplate::build(self.compiled, start, block.len as usize);
+                self.built.push(built);
+                self.built.len() as u32 - 1
+            } else {
+                NO_TEMPLATE
+            };
+            self.slot[start] = slot;
+        }
+        let block = self.built.get(slot as usize)?;
+        let n = bytes.len();
+        let exec = &self.compiled.exec_bytes[start..start + n];
+        (block.len == n
+            && bytes[..n - 1] == exec[..n - 1]
+            && (block.any_terminator || bytes[n - 1] == exec[n - 1]))
+            .then_some(block)
     }
 }
 
@@ -1374,7 +1543,7 @@ mod tests {
             .unwrap();
         assert_eq!(trace.output, reference);
         assert_eq!(trace.flags.len() as u64, trace.output.steps);
-        let counts = trace.exec_counts(compiled.op_count());
+        let counts = trace.exec_counts();
         assert_eq!(counts[0], 1);
         assert_eq!(counts[2], 10, "loop body retires once per iteration");
         assert_eq!(counts[4], 10);
@@ -1457,6 +1626,59 @@ mod tests {
         assert_eq!(trace.mem, accesses);
         // Five even-count `addne`s and the final `bne` fail their condition.
         assert_eq!(trace.statics.executed, trace.statics.retired - 6);
+    }
+
+    /// Every run of the looped program covers a whole block with its
+    /// executed outcomes (the loop's last `bne` falls through, which a
+    /// branch terminator may), so all of it is priced from templates;
+    /// a conditional failing in mid-block sends only its runs op by op.
+    #[test]
+    fn full_block_runs_are_priced_from_templates() {
+        let cfg = Sa1100Config::icache_16k();
+        let set = Ar32Set::load(&looped_program());
+        let compiled = CompiledProgram::compile(&set).unwrap();
+        let trace = Machine::new(set).run_recorded(&compiled).unwrap();
+        let (sims, templated) = trace.replay(&compiled, &[&cfg], &mut ()).unwrap();
+        assert_eq!(templated, trace.output.steps);
+        assert_eq!(sims[0].retired, 34);
+
+        let imm = |v| Operand2::imm(v).unwrap();
+        let skipping = Program {
+            text: vec![
+                Instr::mov(Reg::R0, imm(4)),
+                Instr::mov(Reg::R1, imm(0)),
+                // loop: r1 += r0 if odd; r0 -= 1; bne loop
+                Instr::Dp {
+                    cond: Cond::Al,
+                    op: DpOp::Tst,
+                    set_flags: true,
+                    rd: Reg::R0,
+                    rn: Reg::R0,
+                    op2: imm(1),
+                },
+                Instr::dp(DpOp::Add, Reg::R1, Reg::R1, Operand2::reg(Reg::R0)).with_cond(Cond::Ne),
+                Instr::Dp {
+                    cond: Cond::Al,
+                    op: DpOp::Sub,
+                    set_flags: true,
+                    rd: Reg::R0,
+                    rn: Reg::R0,
+                    op2: imm(1),
+                },
+                Instr::b(-5).with_cond(Cond::Ne),
+                Instr::Swi {
+                    cond: Cond::Al,
+                    imm: 0,
+                },
+            ],
+            ..Program::default()
+        };
+        let set = Ar32Set::load(&skipping);
+        let compiled = CompiledProgram::compile(&set).unwrap();
+        let trace = Machine::new(set).run_recorded(&compiled).unwrap();
+        let (_, templated) = trace.replay(&compiled, &[&cfg], &mut ()).unwrap();
+        // The entry block and the two odd-count loop runs: 2 + 2 × 4 ops.
+        assert_eq!(templated, 10);
     }
 
     #[test]

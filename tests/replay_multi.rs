@@ -1,23 +1,30 @@
 //! Differential guarantees of the execute-once/replay-many engine: pricing
 //! N configurations from a single recorded execution must be observationally
 //! identical — bit-for-bit on every counter — to running each configuration
-//! through the interpreted reference model in its own run, whichever drain
-//! (fused for one configuration, batch for several) prices it, and the
-//! no-observer fast path must agree exactly with the reference loop.
+//! through the interpreted reference model in its own run, whether one lane
+//! or several drain the pricing pass, and the no-observer fast path must
+//! agree exactly with the reference loop. Pricing replays whole block runs
+//! from pre-scheduled issue templates, so the hand-laid cases at the end
+//! pin each boundary a template must patch (a carried pair, a deferred
+//! fetch-dedup reset, a load-use stall across blocks, the terminator's
+//! outcome, carried multiply penalties) and each run that must fall back
+//! to the per-op walk (a skipped op in mid-block, a mid-block entry), on
+//! every `SimResult` field and every cache event, for both ISAs.
 
 #![allow(clippy::unwrap_used)]
 
 use std::cell::Cell;
 use std::rc::Rc;
 
+use fits_sim_ref::TimingModel;
 use powerfits::core::{
     DecoderConfig, Dictionaries, FitsFlow, FitsOp, FitsProgram, FitsSet, RegMap,
 };
-use powerfits::isa::{Cond, DpOp, Instr, Operand2, Reg, TEXT_BASE};
+use powerfits::isa::{Cond, DpOp, Instr, MemOp, Operand2, Program, Reg, DATA_BASE, TEXT_BASE};
 use powerfits::kernels::kernels::{Kernel, Scale};
 use powerfits::sim::{
-    Ar32Set, CompiledProgram, ExecCtx, InstrSet, LoweredOp, Machine, OpMeta, Sa1100Config,
-    SimError, StepOutcome,
+    Ar32Set, CacheConfig, CacheEventObserver, CompiledProgram, ExecCtx, InstrSet, LoweredOp,
+    Machine, OpMeta, Replacement, Sa1100Config, SimError, StepOutcome,
 };
 
 /// The four cache configurations the experiment harness sweeps.
@@ -177,8 +184,8 @@ fn replay_many_executes_each_instruction_once() {
 /// bit-for-bit with per-config runs of the interpreted reference model,
 /// for both instruction sets of every kernel; a recorded trace must be
 /// re-priceable any number of times with identical results; and a
-/// single-configuration `price_all` (the fused drain) must equal `price`
-/// and the reference, so both drains stay covered.
+/// single-configuration `price_all` must equal `price` and the reference,
+/// so one-lane and multi-lane pricing stay covered.
 #[test]
 fn compiled_api_is_bit_identical_and_repriceable() {
     let scale = Scale::test();
@@ -211,12 +218,12 @@ fn check_compiled_api<S: InstrSet + Clone>(set: &S, cfgs: &[Sa1100Config], label
         assert_eq!(out, trace.output, "{label}: RunOutput diverged");
         assert_eq!(
             *sim, reference,
-            "{label}: batch drain diverged at {bytes} B icache"
+            "{label}: multi-lane pricing diverged at {bytes} B icache"
         );
         let single = trace.price(&compiled, cfg).expect("price");
         assert_eq!(
             single, reference,
-            "{label}: fused drain diverged at {bytes} B icache"
+            "{label}: single-lane pricing diverged at {bytes} B icache"
         );
         assert_eq!(
             trace
@@ -367,6 +374,23 @@ struct FitsOps {
     exec: FitsSet,
 }
 
+impl FitsOps {
+    fn new(ops: Vec<FitsOp>) -> FitsOps {
+        let exec = FitsSet::load(&FitsProgram {
+            instrs: Vec::new(),
+            data: Vec::new(),
+            entry: 0,
+            config: DecoderConfig {
+                ops: Vec::new(),
+                regs: RegMap::full(),
+                dicts: Dictionaries::default(),
+            },
+        })
+        .expect("empty binary loads");
+        FitsOps { ops, exec }
+    }
+}
+
 impl InstrSet for FitsOps {
     type Op = FitsOp;
 
@@ -442,18 +466,7 @@ fn backward_jalr_prices_like_the_reference() {
             imm: 0,
         }),
     ];
-    let exec = FitsSet::load(&FitsProgram {
-        instrs: Vec::new(),
-        data: Vec::new(),
-        entry: 0,
-        config: DecoderConfig {
-            ops: Vec::new(),
-            regs: RegMap::full(),
-            dicts: Dictionaries::default(),
-        },
-    })
-    .expect("empty binary loads");
-    let set = FitsOps { ops, exec };
+    let set = FitsOps::new(ops);
     let compiled = CompiledProgram::compile(&set).expect("compiles to blocks");
     let trace = Machine::new(set.clone())
         .run_recorded(&compiled)
@@ -469,4 +482,303 @@ fn backward_jalr_prices_like_the_reference() {
         assert_eq!(out, trace.output);
         assert_eq!(trace.price(&compiled, &cfg).expect("price"), reference);
     }
+}
+
+/// Every cache access an observer sees: `(dcache, addr, write, hit)`.
+#[derive(Debug, Default, PartialEq)]
+struct CacheEvents(Vec<(bool, u32, bool, bool)>);
+
+impl CacheEventObserver for CacheEvents {
+    fn icache_access(&mut self, word_addr: u32, hit: bool) {
+        self.0.push((false, word_addr, false, hit));
+    }
+    fn dcache_access(&mut self, addr: u32, write: bool, hit: bool) {
+        self.0.push((true, addr, write, hit));
+    }
+}
+
+/// Configurations that make every penalty visible and distinct: the
+/// paper's pair, and a machine whose one-way 64-byte caches evict and
+/// whose five penalties all differ.
+fn boundary_configs() -> Vec<Sa1100Config> {
+    let tiny = |name: &str| CacheConfig {
+        name: name.into(),
+        size_bytes: 64,
+        ways: 1,
+        line_bytes: 16,
+        replacement: Replacement::Lru,
+    };
+    let odd = Sa1100Config {
+        icache: tiny("tiny-i"),
+        dcache: tiny("tiny-d"),
+        icache_miss_penalty: 7,
+        dcache_miss_penalty: 11,
+        mul_extra_cycles: 3,
+        taken_branch_penalty: 2,
+        mispredict_penalty: 5,
+        ..Sa1100Config::icache_16k()
+    };
+    vec![Sa1100Config::icache_16k(), Sa1100Config::icache_8k(), odd]
+}
+
+/// Prices `set` single-lane (observed) and multi-lane, and holds every
+/// `SimResult` field and every cache event to the interpreted reference.
+fn assert_prices_like_the_reference<S: InstrSet + Clone>(set: &S, label: &str) {
+    let cfgs = boundary_configs();
+    let compiled = CompiledProgram::compile(set).expect("compiles to blocks");
+    let trace = Machine::new(set.clone())
+        .run_recorded(&compiled)
+        .expect("recorded run");
+    let multi = trace.price_all(&compiled, &cfgs).expect("price all");
+    for (i, (cfg, multi_sim)) in cfgs.iter().zip(&multi).enumerate() {
+        let mut model = TimingModel::new(cfg).expect("valid geometry");
+        let mut want = CacheEvents::default();
+        let out = fits_sim_ref::run_observed(set, |_, info| model.observe_with(info, &mut want))
+            .expect("reference run");
+        let reference = model.finish_with(&mut want);
+        assert_eq!(out, trace.output, "{label}: RunOutput diverged");
+        let mut got = CacheEvents::default();
+        let single = trace
+            .price_with(&compiled, cfg, &mut got)
+            .expect("price with");
+        assert_eq!(
+            single, reference,
+            "{label}: single lane diverged at config {i}"
+        );
+        assert_eq!(
+            *multi_sim, reference,
+            "{label}: multi lane diverged at config {i}"
+        );
+        assert_eq!(got, want, "{label}: cache events diverged at config {i}");
+    }
+}
+
+/// Runs one op sequence as an AR32 binary (4-byte ops) and as a FITS
+/// binary of plain ops (2-byte ops, two to a fetch word). `build` gets
+/// the op size, for the cases that compute text addresses.
+fn assert_both_isas_price_like_the_reference(label: &str, build: impl Fn(u32) -> Vec<Instr>) {
+    let program = Program {
+        text: build(4),
+        ..Program::default()
+    };
+    assert_prices_like_the_reference(&Ar32Set::load(&program), &format!("{label} (AR32)"));
+    let ops = build(2).into_iter().map(FitsOp::Plain).collect();
+    assert_prices_like_the_reference(&FitsOps::new(ops), &format!("{label} (FITS)"));
+}
+
+fn imm(v: u32) -> Operand2 {
+    Operand2::imm(v).expect("encodable")
+}
+
+fn add(rd: Reg, rn: Reg, v: u32) -> Instr {
+    Instr::dp(DpOp::Add, rd, rn, imm(v))
+}
+
+/// `subs rd, rd, #1` — the loop counter, setting the flags `bne` reads.
+fn dec(rd: Reg) -> Instr {
+    Instr::Dp {
+        cond: Cond::Al,
+        op: DpOp::Sub,
+        set_flags: true,
+        rd,
+        rn: rd,
+        op2: imm(1),
+    }
+}
+
+const EXIT: Instr = Instr::Swi {
+    cond: Cond::Al,
+    imm: 0,
+};
+
+/// A block that falls through into a branch target carries its last op
+/// into the target block, where it pairs with the first op; the later
+/// iterations carry the pending `bne` instead.
+#[test]
+fn a_carried_op_pairs_with_the_first_op_of_a_leader() {
+    assert_both_isas_price_like_the_reference("carried pair", |_| {
+        vec![
+            Instr::mov(Reg::R0, imm(6)),
+            Instr::mov(Reg::R1, imm(0)),
+            Instr::mov(Reg::R3, imm(0)), // pending at the fall-through
+            add(Reg::R2, Reg::R2, 1),    // loop: pairs with the carried mov
+            add(Reg::R1, Reg::R1, 2),
+            dec(Reg::R0),
+            Instr::b(-5).with_cond(Cond::Ne),
+            Instr::mov(Reg::R0, Operand2::reg(Reg::R1)),
+            EXIT,
+        ]
+    });
+}
+
+/// The loop's `bne` cannot pair with the flag-setting `subs`, so it is
+/// still pending when the loop head is fetched and resets fetch dedup
+/// only afterwards: in FITS the loop head shares its word with the next
+/// op, which is fetched again.
+#[test]
+fn a_deferred_dedup_reset_refetches_a_shared_word() {
+    assert_both_isas_price_like_the_reference("deferred reset", |_| {
+        vec![
+            Instr::mov(Reg::R0, imm(5)),
+            Instr::mov(Reg::R1, imm(0)),
+            add(Reg::R1, Reg::R1, 1), // loop: word-aligned in FITS
+            add(Reg::R2, Reg::R2, 3), // shares the loop head's word
+            dec(Reg::R0),
+            Instr::b(-5).with_cond(Cond::Ne),
+            Instr::mov(Reg::R0, Operand2::reg(Reg::R1)),
+            EXIT,
+        ]
+    });
+}
+
+/// A load ending one block stalls the next block's first issued group:
+/// once when the load issues alone before the group (`loop`), once when
+/// it pairs with the block's first op and the stalled group is the
+/// template's first (`loop2`).
+#[test]
+fn a_load_in_one_block_stalls_the_first_group_of_the_next() {
+    assert_both_isas_price_like_the_reference("load-use across blocks", |_| {
+        vec![
+            Instr::mov(Reg::R3, imm(DATA_BASE)),
+            Instr::mov(Reg::R0, imm(3)),
+            Instr::mem(MemOp::Str, Reg::R0, Reg::R3, 0),
+            Instr::mem(MemOp::Ldr, Reg::R5, Reg::R3, 0), // pending at the fall-through
+            Instr::dp(DpOp::Add, Reg::R6, Reg::R5, Operand2::reg(Reg::R0)), // loop
+            Instr::mov(Reg::R8, imm(1)),
+            Instr::mem(MemOp::Ldr, Reg::R5, Reg::R3, 0),
+            dec(Reg::R0),
+            Instr::b(-6).with_cond(Cond::Ne),
+            Instr::mov(Reg::R0, imm(3)),
+            Instr::mov(Reg::R9, imm(2)),
+            Instr::mem(MemOp::Ldr, Reg::R5, Reg::R3, 0), // pending at the fall-through
+            Instr::mov(Reg::R8, imm(1)),                 // loop2: pairs with the carried load
+            add(Reg::R7, Reg::R5, 1),                    // first template group uses the load
+            add(Reg::R2, Reg::R2, 1),
+            dec(Reg::R0),
+            Instr::b(-6).with_cond(Cond::Ne),
+            Instr::mov(Reg::R0, Operand2::reg(Reg::R7)),
+            EXIT,
+        ]
+    });
+}
+
+/// An `addne` inside the loop body fails its condition on even counts,
+/// so those block runs take the per-op path and the others the template.
+#[test]
+fn a_skipped_conditional_in_mid_block_prices_like_the_reference() {
+    assert_both_isas_price_like_the_reference("mid-block skip", |_| {
+        vec![
+            Instr::mov(Reg::R0, imm(6)),
+            Instr::mov(Reg::R1, imm(0)),
+            Instr::Dp {
+                cond: Cond::Al,
+                op: DpOp::Tst,
+                set_flags: true,
+                rd: Reg::R0,
+                rn: Reg::R0,
+                op2: imm(1),
+            }, // loop
+            Instr::dp(DpOp::Add, Reg::R1, Reg::R1, Operand2::reg(Reg::R0)).with_cond(Cond::Ne),
+            add(Reg::R2, Reg::R2, 1),
+            dec(Reg::R0),
+            Instr::b(-6).with_cond(Cond::Ne),
+            Instr::mov(Reg::R0, Operand2::reg(Reg::R1)),
+            EXIT,
+        ]
+    });
+}
+
+/// `mov pc, r4` lands in the middle of the loop block: that run starts
+/// mid-block and walks op by op; the loop's later runs cover the block.
+#[test]
+fn an_indirect_jump_into_mid_block_prices_like_the_reference() {
+    assert_both_isas_price_like_the_reference("mid-block entry", |op_size| {
+        vec![
+            Instr::mov(Reg::R4, imm(TEXT_BASE)),
+            add(Reg::R4, Reg::R4, 6 * op_size),
+            Instr::mov(Reg::R0, imm(2)),
+            Instr::mov(Reg::PC, Operand2::reg(Reg::R4)), // to op 6
+            add(Reg::R1, Reg::R1, 1),                    // loop
+            add(Reg::R2, Reg::R2, 2),
+            add(Reg::R3, Reg::R3, 3), // the jump's target
+            dec(Reg::R0),
+            Instr::b(-6).with_cond(Cond::Ne),
+            Instr::mov(Reg::R0, Operand2::reg(Reg::R1)),
+            EXIT,
+        ]
+    });
+}
+
+/// The loop's `bne` pairs with the op before it, so the template issues
+/// it: taken (predicted, backward) on every iteration but the last, and
+/// not taken (mispredicted) on the last.
+#[test]
+fn a_not_taken_terminator_paired_inside_a_template_prices_like_the_reference() {
+    assert_both_isas_price_like_the_reference("paired not-taken", |_| {
+        vec![
+            Instr::mov(Reg::R0, imm(4)),
+            Instr::mov(Reg::R1, imm(0)),
+            dec(Reg::R0), // loop
+            add(Reg::R1, Reg::R1, 1),
+            add(Reg::R2, Reg::R2, 2), // pairs with the bne
+            Instr::b(-5).with_cond(Cond::Ne),
+            Instr::mov(Reg::R0, Operand2::reg(Reg::R1)),
+            EXIT,
+        ]
+    });
+}
+
+/// A `jalr` back to an earlier function pairs with the op before it, so
+/// the template issues it; its recorded backward bit makes it predicted.
+#[test]
+fn a_backward_jalr_paired_inside_a_template_prices_like_the_reference() {
+    let plain = FitsOp::Plain;
+    let ops = vec![
+        plain(Instr::mov(Reg::R1, imm(3))),
+        plain(Instr::b(2)), // to main
+        // func: r0 += 1; return
+        plain(add(Reg::R0, Reg::R0, 1)),
+        plain(Instr::mov(Reg::PC, Operand2::reg(Reg::LR))),
+        plain(EXIT),
+        // main: r4 = &func
+        FitsOp::WideImm {
+            op: DpOp::Mov,
+            set_flags: false,
+            rd: Reg::R4,
+            rn: Reg::R4,
+            imm: TEXT_BASE + 2 * 2,
+        },
+        plain(add(Reg::R2, Reg::R2, 1)), // loop: pairs with the jalr
+        FitsOp::Jalr(Reg::R4),
+        plain(dec(Reg::R1)),
+        plain(Instr::b(-5).with_cond(Cond::Ne)),
+        plain(EXIT),
+    ];
+    let set = FitsOps::new(ops);
+    assert_prices_like_the_reference(&set, "paired backward jalr (FITS)");
+}
+
+/// Multiplies accumulate penalty deltas between cache events: a multiply
+/// carried into the loop issues after the loop head's fetch, so its delta
+/// rides the template's first event, and the loop's own multiplies sit
+/// between fetches (two to a word in FITS) and around a store.
+#[test]
+fn multiplies_between_cache_events_price_like_the_reference() {
+    assert_both_isas_price_like_the_reference("multiplies", |_| {
+        vec![
+            Instr::mov(Reg::R0, imm(3)),
+            Instr::mov(Reg::R3, imm(DATA_BASE)),
+            Instr::mov(Reg::R5, imm(7)),
+            Instr::mul(Reg::R6, Reg::R5, Reg::R5), // pending at the fall-through
+            add(Reg::R7, Reg::R6, 1),              // loop: waits for the multiply
+            Instr::mul(Reg::R8, Reg::R5, Reg::R0),
+            Instr::mul(Reg::R9, Reg::R5, Reg::R5),
+            Instr::mem(MemOp::Str, Reg::R8, Reg::R3, 0),
+            Instr::mul(Reg::R6, Reg::R5, Reg::R0),
+            dec(Reg::R0),
+            Instr::b(-8).with_cond(Cond::Ne),
+            Instr::mov(Reg::R0, Operand2::reg(Reg::R7)),
+            EXIT,
+        ]
+    });
 }
