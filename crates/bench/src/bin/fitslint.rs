@@ -33,10 +33,10 @@
 use std::fmt;
 use std::process::ExitCode;
 
+use fits_bench::lint::{lint_clean, lint_json, LintEntry};
 use fits_bench::{cache_bounds_report, ExperimentError};
 use fits_isa::spec::{AR32_SPEC_TEXT, FITS_SPEC_TEXT, T16_SPEC_TEXT};
 use fits_kernels::kernels::{Kernel, Scale};
-use fits_obs::json::escape;
 use fits_scenario::ScenarioSpec;
 use fits_verify::{lint_kernel, lint_spec_text};
 
@@ -216,55 +216,12 @@ fn write_out(out: Option<&str>, rendered: &str) -> Result<(), LintError> {
 /// The classic lint mode: `ENC`/`CFI`/`DF`/`TV` families per kernel.
 /// Returns whether every kernel came back clean.
 fn run_lint(args: &Args) -> Result<bool, LintError> {
-    let mut all_clean = true;
-    let mut text = String::new();
-    let mut json_entries = Vec::new();
-    for kernel in &args.kernels {
-        match lint_kernel(*kernel, args.scale) {
-            Ok(report) => {
-                if !report.is_clean() {
-                    all_clean = false;
-                }
-                match args.format {
-                    Format::Text => {
-                        if report.diagnostics.is_empty() {
-                            text.push_str(&format!("{}: clean\n", report.name));
-                        } else {
-                            text.push_str(&report.render_text());
-                        }
-                    }
-                    Format::Json => json_entries.push(report.render_json()),
-                }
-            }
-            Err(err) => {
-                all_clean = false;
-                match args.format {
-                    Format::Text => eprintln!("fitslint: {err}"),
-                    Format::Json => json_entries.push(format!(
-                        "{{\"name\":\"{}\",\"clean\":false,\"error\":\"{}\"}}",
-                        escape(kernel.name()),
-                        escape(&err)
-                    )),
-                }
-            }
-        }
-    }
-    let rendered = match args.format {
-        Format::Text => text,
-        Format::Json => {
-            let doc = format!(
-                "{{\"kernels\":[{}],\"clean\":{all_clean}}}\n",
-                json_entries.join(",")
-            );
-            // The aggregate is hand-rolled: prove it parses before CI
-            // archives it.
-            fits_obs::json::parse(&doc).map_err(|e| LintError::InvalidJson(e.to_string()))?;
-            doc
-        }
-    };
-    print!("{rendered}");
-    write_out(args.out.as_deref(), &rendered)?;
-    Ok(all_clean)
+    let entries: Vec<LintEntry> = args
+        .kernels
+        .iter()
+        .map(|k| (k.name().to_string(), lint_kernel(*k, args.scale)))
+        .collect();
+    report_entries(args, "kernels", &entries, true)
 }
 
 /// Resolves one `--isa` operand: a shipped spec name or a file path.
@@ -284,54 +241,48 @@ fn isa_source(operand: &str) -> Result<String, LintError> {
 /// (parse or structural) count as findings, not usage errors. Returns
 /// whether every spec came back clean.
 fn run_isa(args: &Args) -> Result<bool, LintError> {
-    let mut all_clean = true;
-    let mut text = String::new();
-    let mut json_entries = Vec::new();
+    let mut entries: Vec<LintEntry> = Vec::new();
     for operand in &args.isa {
-        let source = isa_source(operand)?;
-        match lint_spec_text(&source) {
-            Ok(report) => {
-                if !report.is_clean() {
-                    all_clean = false;
-                }
-                match args.format {
-                    Format::Text => {
-                        if report.diagnostics.is_empty() {
-                            text.push_str(&format!("{}: clean\n", report.name));
-                        } else {
-                            text.push_str(&report.render_text());
-                        }
-                    }
-                    Format::Json => json_entries.push(report.render_json()),
-                }
-            }
-            Err(err) => {
-                all_clean = false;
-                match args.format {
-                    Format::Text => text.push_str(&format!("{operand}: {err}\n")),
-                    Format::Json => json_entries.push(format!(
-                        "{{\"name\":\"{}\",\"clean\":false,\"error\":\"{}\"}}",
-                        escape(operand),
-                        escape(&err.to_string())
-                    )),
-                }
-            }
-        }
+        let report = lint_spec_text(&isa_source(operand)?).map_err(|e| e.to_string());
+        entries.push((operand.clone(), report));
     }
+    report_entries(args, "specs", &entries, false)
+}
+
+/// Prints the lint or `--isa` entries in the requested format (and writes
+/// `--out`). In text mode a failed entry goes to stderr when
+/// `errors_to_stderr`, else to the report. Returns whether all are clean.
+fn report_entries(
+    args: &Args,
+    key: &str,
+    entries: &[LintEntry],
+    errors_to_stderr: bool,
+) -> Result<bool, LintError> {
     let rendered = match args.format {
-        Format::Text => text,
+        Format::Text => {
+            let mut text = String::new();
+            for (name, result) in entries {
+                match result {
+                    Ok(report) if report.diagnostics.is_empty() => {
+                        text.push_str(&format!("{}: clean\n", report.name));
+                    }
+                    Ok(report) => text.push_str(&report.render_text()),
+                    Err(err) if errors_to_stderr => eprintln!("fitslint: {err}"),
+                    Err(err) => text.push_str(&format!("{name}: {err}\n")),
+                }
+            }
+            text
+        }
         Format::Json => {
-            let doc = format!(
-                "{{\"specs\":[{}],\"clean\":{all_clean}}}\n",
-                json_entries.join(",")
-            );
+            let doc = lint_json(key, entries);
+            // Prove the document parses before CI archives it.
             fits_obs::json::parse(&doc).map_err(|e| LintError::InvalidJson(e.to_string()))?;
             doc
         }
     };
     print!("{rendered}");
     write_out(args.out.as_deref(), &rendered)?;
-    Ok(all_clean)
+    Ok(lint_clean(entries))
 }
 
 /// The `--cache` mode: `CA` bounds per kernel under one preset scenario.

@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 use fits_kernels::kernels::{Kernel, Scale};
 use fits_obs::fmt::{fmt_count, fmt_energy};
-use fits_obs::json::{escape, validate_trace_jsonl};
+use fits_obs::json::{validate_trace_jsonl, Spacing, Writer};
 use fits_obs::{attribute_kernel, trace_timed_run, Attribution, SpanRegistry};
 use fits_power::{cache_power, CachePower};
 use fits_scenario::ScenarioSpec;
@@ -146,15 +146,6 @@ fn kernel_names() -> Vec<&'static str> {
 fn fail(what: &str, err: &dyn std::fmt::Display) -> ! {
     eprintln!("fitstrace: {what}: {err}");
     std::process::exit(1);
-}
-
-/// A finite `f64` as a JSON number (full float round-trip precision).
-fn jnum(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:e}")
-    } else {
-        "0".to_owned()
-    }
 }
 
 struct IsaReport {
@@ -353,15 +344,19 @@ fn indent(text: &str, by: usize) -> String {
         .collect::<String>()
 }
 
-fn cost_json(c: &fits_obs::BlockCost) -> String {
-    format!(
-        "{{\"retired\":{},\"fetches\":{},\"switching_j\":{},\"internal_j\":{},\"leakage_j\":{}}}",
-        c.retired,
-        c.fetches,
-        jnum(c.switching_j),
-        jnum(c.internal_j),
-        jnum(c.leakage_j)
-    )
+/// A JSONL record of type `kind`, open for the rest of its fields.
+fn record(kind: &str) -> Writer {
+    let mut w = Writer::new(Spacing::Compact);
+    w.begin_obj();
+    w.field_str("type", kind);
+    w
+}
+
+/// The three energy components, in full precision.
+fn energies(w: &mut Writer, switching_j: f64, internal_j: f64, leakage_j: f64) {
+    w.field_f64("switching_j", switching_j);
+    w.field_f64("internal_j", internal_j);
+    w.field_f64("leakage_j", leakage_j);
 }
 
 fn export_jsonl(
@@ -372,47 +367,46 @@ fn export_jsonl(
     fits: &IsaReport,
 ) -> String {
     let mut lines = Vec::new();
-    lines.push(format!(
-        "{{\"type\":\"meta\",\"kernel\":\"{}\",\"scale\":\"{}\",\
-         \"icache\":\"{}\",\"scenario\":\"{}\"}}",
-        escape(opts.kernel.name()),
-        opts.scale.n,
-        opts.scenario.icache.size_bytes,
-        escape(opts.scenario.id())
-    ));
+    let mut w = record("meta");
+    w.field_str("kernel", opts.kernel.name());
+    w.field_str("scale", &opts.scale.n.to_string());
+    w.field_str("icache", &opts.scenario.icache.size_bytes.to_string());
+    w.field_str("scenario", opts.scenario.id());
+    lines.push(w.finish());
     reg.visit(|path, span| {
-        lines.push(format!(
-            "{{\"type\":\"span\",\"path\":\"{}\",\"ms\":{},\"count\":{}}}",
-            escape(path),
-            jnum(span.nanos as f64 / 1.0e6),
-            span.count
-        ));
+        let mut w = record("span");
+        w.field_str("path", path);
+        w.field_f64("ms", span.nanos as f64 / 1.0e6);
+        w.field_u64("count", span.count);
+        lines.push(w.finish());
     });
     for i in 0..attr.blocks.len() {
         let (a, f) = (&attr.arm[i], &attr.fits[i]);
         if a.retired == 0 && f.retired == 0 {
             continue;
         }
-        lines.push(format!(
-            "{{\"type\":\"block\",\"addr\":\"{:#x}\",\"label\":\"{}\",\"func\":\"{}\",\"arm\":{},\"fits\":{}}}",
-            attr.blocks[i].addr(),
-            escape(&attr.label(i)),
-            escape(&attr.blocks[i].func),
-            cost_json(a),
-            cost_json(f)
-        ));
+        let mut w = record("block");
+        w.field_str("addr", &format!("{:#x}", attr.blocks[i].addr()));
+        w.field_str("label", &attr.label(i));
+        w.field_str("func", &attr.blocks[i].func);
+        for (key, c) in [("arm", a), ("fits", f)] {
+            w.key(key);
+            w.begin_obj();
+            w.field_u64("retired", c.retired);
+            w.field_u64("fetches", c.fetches);
+            energies(&mut w, c.switching_j, c.internal_j, c.leakage_j);
+            w.end_obj();
+        }
+        lines.push(w.finish());
     }
     for rep in [arm, fits] {
-        lines.push(format!(
-            "{{\"type\":\"summary\",\"isa\":\"{}\",\"cycles\":{},\"retired\":{},\
-             \"switching_j\":{},\"internal_j\":{},\"leakage_j\":{}}}",
-            rep.isa,
-            rep.sim.cycles,
-            rep.sim.retired,
-            jnum(rep.power.switching_j),
-            jnum(rep.power.internal_j),
-            jnum(rep.power.leakage_j)
-        ));
+        let mut w = record("summary");
+        w.field_str("isa", rep.isa);
+        w.field_u64("cycles", rep.sim.cycles);
+        w.field_u64("retired", rep.sim.retired);
+        let p = &rep.power;
+        energies(&mut w, p.switching_j, p.internal_j, p.leakage_j);
+        lines.push(w.finish());
     }
     let mut out = lines.join("\n");
     out.push('\n');

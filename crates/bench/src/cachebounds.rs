@@ -27,11 +27,10 @@ use fits_verify::{
 };
 
 use fits_obs::fmt::fmt_energy;
-use fits_obs::json::escape;
+use fits_obs::json::{Spacing, Writer};
 
 use crate::artifacts::Artifacts;
 use crate::experiment::{note_timed_execution, ExperimentError};
-use crate::stamp::json_energy;
 
 /// One instruction stream's analysis, audit and (optional) dynamic join.
 #[derive(Clone, Debug)]
@@ -247,29 +246,30 @@ impl CacheBoundsReport {
         out
     }
 
-    /// Renders the report as a `powerfits-cache-bounds-v1` JSON document.
+    /// Renders the report as a compact `powerfits-cache-bounds-v1` JSON
+    /// document.
     #[must_use]
     pub fn render_json(&self) -> String {
-        let kernels: Vec<String> = self
-            .kernels
-            .iter()
-            .map(|k| {
-                format!(
-                    "{{\"kernel\":\"{}\",\"arm\":{},\"fits\":{}}}",
-                    escape(k.kernel.name()),
-                    render_stream_json(&k.arm, &self.energy),
-                    render_stream_json(&k.fits, &self.energy)
-                )
-            })
-            .collect();
-        format!(
-            "{{\"schema\":\"powerfits-cache-bounds-v1\",\"preset\":\"{}\",\"scale\":\"{}\",\
-             \"kernels\":[{}],\"sound\":{}}}",
-            escape(&self.scenario),
-            self.scale.n,
-            kernels.join(","),
-            self.is_sound()
-        )
+        let mut w = Writer::new(Spacing::Compact);
+        w.begin_obj();
+        w.field_str("schema", "powerfits-cache-bounds-v1");
+        w.field_str("preset", &self.scenario);
+        w.field_str("scale", &self.scale.n.to_string());
+        w.key("kernels");
+        w.begin_arr();
+        for k in &self.kernels {
+            w.begin_obj();
+            w.field_str("kernel", k.kernel.name());
+            w.key("arm");
+            write_stream_json(&mut w, &k.arm, &self.energy);
+            w.key("fits");
+            write_stream_json(&mut w, &k.fits, &self.energy);
+            w.end_obj();
+        }
+        w.end_arr();
+        w.field_bool("sound", self.is_sound());
+        w.end_obj();
+        w.finish()
     }
 }
 
@@ -329,35 +329,37 @@ fn render_stream_text(tag: &str, stream: &StreamBounds, energy: &AccessEnergyBou
     out
 }
 
-fn render_stream_json(stream: &StreamBounds, energy: &AccessEnergyBounds) -> String {
+fn write_stream_json(w: &mut Writer, stream: &StreamBounds, energy: &AccessEnergyBounds) {
     let (hit, miss, persist, unknown, unreach) = stream.analysis.word_counts();
-    let mut out = format!(
-        "{{\"words\":{{\"always_hit\":{hit},\"always_miss\":{miss},\
-         \"persistent\":{persist},\"unknown\":{unknown},\"unreachable\":{unreach}}},\
-         \"audit_findings\":{},\"blocks\":{}",
-        stream.audit.len(),
-        stream.analysis.blocks.len()
-    );
+    w.begin_obj();
+    w.key("words");
+    w.begin_obj();
+    w.field_u64("always_hit", hit as u64);
+    w.field_u64("always_miss", miss as u64);
+    w.field_u64("persistent", persist as u64);
+    w.field_u64("unknown", unknown as u64);
+    w.field_u64("unreachable", unreach as u64);
+    w.end_obj();
+    w.field_u64("audit_findings", stream.audit.len() as u64);
+    w.field_u64("blocks", stream.analysis.blocks.len() as u64);
     if let Some(check) = &stream.check {
         let (lo, hi) = check.miss_interval();
         let (e_lo, e_hi) = check.energy_envelope(energy);
-        let violations: Vec<String> = check
-            .violations
-            .iter()
-            .map(|v| format!("\"{}\"", escape(v)))
-            .collect();
-        out.push_str(&format!(
-            ",\"bounds\":{{\"accesses\":{},\"misses\":{},\"miss_min\":{lo},\"miss_max\":{hi},\
-             \"energy_lo_j\":{},\"energy_hi_j\":{},\"violations\":[{}]}}",
-            check.accesses(),
-            check.misses(),
-            json_energy(e_lo),
-            json_energy(e_hi),
-            violations.join(",")
-        ));
+        w.key("bounds");
+        w.begin_obj();
+        w.field_u64("accesses", check.accesses());
+        w.field_u64("misses", check.misses());
+        w.field_u64("miss_min", lo);
+        w.field_u64("miss_max", hi);
+        w.field_f64("energy_lo_j", e_lo);
+        w.field_f64("energy_hi_j", e_hi);
+        w.key("violations");
+        w.begin_arr();
+        check.violations.iter().for_each(|v| w.str(v));
+        w.end_arr();
+        w.end_obj();
     }
-    out.push('}');
-    out
+    w.end_obj();
 }
 
 #[cfg(test)]

@@ -22,6 +22,7 @@ pub mod artifacts;
 pub mod cachebounds;
 pub mod experiment;
 pub mod figures;
+pub mod lint;
 pub mod pareto;
 pub mod report;
 pub mod stamp;
@@ -43,5 +44,6 @@ pub use pareto::{
 };
 pub use report::{Row, Table};
 pub use sweep::{
-    isa_json, run_sweep_with, sweep_json, sweep_table, IsaAggregate, SweepPoint, SweepResults,
+    run_sweep_with, sweep_json, sweep_table, write_isa, write_sweep_fields, IsaAggregate,
+    SweepPoint, SweepResults,
 };

@@ -24,7 +24,7 @@ use fits_core::{
     synthesize_multi, FitsProgram, MultiMember, MultiOptions, MultiOutcome, Profile, SynthOptions,
 };
 use fits_kernels::kernels::{Kernel, Scale};
-use fits_obs::json::escape;
+use fits_obs::json::{Spacing, Writer};
 use fits_power::DecodeKind;
 use fits_scenario::{ScenarioMatrix, ScenarioSpec};
 use fits_sim::CompiledProgram;
@@ -466,23 +466,6 @@ fn ratio(ours: f64, base: f64) -> f64 {
     }
 }
 
-fn member_json(m: &MemberPower) -> String {
-    format!(
-        "{{\"kernel\": \"{kernel}\", \"solo_code_bytes\": {scb}, \
-         \"shared_code_bytes\": {hcb}, \"solo_icache_j\": {sij}, \
-         \"shared_icache_j\": {hij}, \"solo_cycles\": {sc}, \
-         \"shared_cycles\": {hc}, \"regression\": {reg}}}",
-        kernel = escape(&m.kernel),
-        scb = m.solo_code_bytes,
-        hcb = m.shared_code_bytes,
-        sij = stamp::json_f64(m.solo_icache_j),
-        hij = stamp::json_f64(m.shared_icache_j),
-        sc = m.solo_cycles,
-        hc = m.shared_cycles,
-        reg = stamp::json_f64(m.regression),
-    )
-}
-
 /// Serializes a Pareto enumeration into the `powerfits-pareto-v1` JSON
 /// schema (see [`fits_obs::json::validate_pareto_json`]). The meta block
 /// carries the ISA catalog hash *and* the merged-profile hash, so a
@@ -490,79 +473,66 @@ fn member_json(m: &MemberPower) -> String {
 /// synthesized from.
 #[must_use]
 pub fn pareto_json(results: &ParetoResults) -> String {
-    let kernels: Vec<String> = results
-        .kernels
-        .iter()
-        .map(|k| format!("\"{}\"", escape(k.name())))
-        .collect();
-    let points: Vec<String> = results
-        .points
-        .iter()
-        .map(|p| {
-            let members: Vec<String> = p
-                .members
-                .iter()
-                .map(|m| format!("        {}", member_json(m)))
-                .collect();
-            format!(
-                "    {{\n      \"id\": \"{id}\",\n      \"space_budget\": {budget},\n      \
-                 \"max_dict_bits\": {bits},\n      \"code_bytes\": {code},\n      \
-                 \"icache_j\": {energy},\n      \"decoder_slots\": {slots},\n      \
-                 \"config_bits\": {cfg},\n      \"iterations\": {iters},\n      \
-                 \"members\": [\n{members}\n      ]\n    }}",
-                id = escape(&p.id),
-                budget = stamp::json_f64(p.spec.space_budget),
-                bits = p.spec.max_dict_bits,
-                code = p.code_bytes,
-                energy = stamp::json_f64(p.icache_j),
-                slots = p.decoder_slots,
-                cfg = p.config_bits,
-                iters = p.iterations,
-                members = members.join(",\n"),
-            )
-        })
-        .collect();
-    let rejected: Vec<String> = results
-        .rejected
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"id\": \"{id}\", \"space_budget\": {budget}, \
-                 \"max_dict_bits\": {bits}, \"reason\": \"{reason}\"}}",
-                id = escape(&r.id),
-                budget = stamp::json_f64(r.spec.space_budget),
-                bits = r.spec.max_dict_bits,
-                reason = escape(&r.reason),
-            )
-        })
-        .collect();
-    let frontier: Vec<String> = results.frontier.iter().map(ToString::to_string).collect();
-    let meta = stamp::meta_json_with(
-        "  ",
-        &[(
-            "merged_profile",
-            format!("\"{}\"", escape(&results.merged_hash)),
-        )],
-    );
-    format!(
-        "{{\n  \"schema\": \"powerfits-pareto-v1\",\n  \"meta\": {meta},\n  \
-         \"scale_n\": {n},\n  \"epsilon\": {eps},\n  \"kernels\": [{kernels}],\n  \
-         \"solo_code_bytes\": {scode},\n  \"solo_icache_j\": {senergy},\n  \
-         \"points\": [\n{points}\n  ],\n  \"frontier\": [{frontier}],\n  \
-         \"rejected\": [{rejected}]\n}}\n",
-        n = results.scale.n,
-        eps = stamp::json_f64(results.epsilon),
-        kernels = kernels.join(", "),
-        scode = results.solo_code_bytes,
-        senergy = stamp::json_f64(results.solo_icache_j),
-        points = points.join(",\n"),
-        frontier = frontier.join(", "),
-        rejected = if results.rejected.is_empty() {
-            String::new()
-        } else {
-            format!("\n{}\n  ", rejected.join(",\n"))
-        },
-    )
+    let mut w = Writer::new(Spacing::Spaced);
+    w.begin_obj_lines();
+    w.field_str("schema", "powerfits-pareto-v1");
+    w.key("meta");
+    stamp::write_meta(&mut w, &[("merged_profile", &results.merged_hash)]);
+    w.field_u64("scale_n", u64::from(results.scale.n));
+    w.field_f64_prec("epsilon", results.epsilon, 6);
+    w.key("kernels");
+    w.begin_arr();
+    results.kernels.iter().for_each(|k| w.str(k.name()));
+    w.end_arr();
+    w.field_u64("solo_code_bytes", results.solo_code_bytes as u64);
+    w.field_f64_prec("solo_icache_j", results.solo_icache_j, 6);
+    w.key("points");
+    w.begin_arr_lines();
+    for p in &results.points {
+        w.begin_obj_lines();
+        w.field_str("id", &p.id);
+        w.field_f64_prec("space_budget", p.spec.space_budget, 6);
+        w.field_u64("max_dict_bits", p.spec.max_dict_bits.into());
+        w.field_u64("code_bytes", p.code_bytes as u64);
+        w.field_f64_prec("icache_j", p.icache_j, 6);
+        w.field_u64("decoder_slots", p.decoder_slots as u64);
+        w.field_u64("config_bits", p.config_bits as u64);
+        w.field_u64("iterations", p.iterations as u64);
+        w.key("members");
+        w.begin_arr_lines();
+        for m in &p.members {
+            w.begin_obj();
+            w.field_str("kernel", &m.kernel);
+            w.field_u64("solo_code_bytes", m.solo_code_bytes as u64);
+            w.field_u64("shared_code_bytes", m.shared_code_bytes as u64);
+            w.field_f64_prec("solo_icache_j", m.solo_icache_j, 6);
+            w.field_f64_prec("shared_icache_j", m.shared_icache_j, 6);
+            w.field_u64("solo_cycles", m.solo_cycles);
+            w.field_u64("shared_cycles", m.shared_cycles);
+            w.field_f64_prec("regression", m.regression, 6);
+            w.end_obj();
+        }
+        w.end_arr();
+        w.end_obj();
+    }
+    w.end_arr();
+    w.key("frontier");
+    w.begin_arr();
+    results.frontier.iter().for_each(|&i| w.u64(i as u64));
+    w.end_arr();
+    w.key("rejected");
+    w.begin_arr_lines();
+    for r in &results.rejected {
+        w.begin_obj();
+        w.field_str("id", &r.id);
+        w.field_f64_prec("space_budget", r.spec.space_budget, 6);
+        w.field_u64("max_dict_bits", r.spec.max_dict_bits.into());
+        w.field_str("reason", &r.reason);
+        w.end_obj();
+    }
+    w.end_arr();
+    w.end_obj();
+    w.finish() + "\n"
 }
 
 #[cfg(test)]

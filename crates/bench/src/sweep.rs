@@ -15,7 +15,7 @@
 //! [`fits_obs::json::validate_sweep_json`] before it is written).
 
 use fits_kernels::kernels::{Kernel, Scale};
-use fits_obs::json::escape;
+use fits_obs::json::{Spacing, Writer};
 use fits_scenario::ScenarioMatrix;
 
 use crate::experiment::{kernels_in_parallel, run_kernel_scenarios, ExperimentError};
@@ -232,75 +232,84 @@ pub fn sweep_table(results: &SweepResults) -> Table {
     }
 }
 
-/// Serializes one per-ISA aggregate as the sweep schema's `"arm"`/`"fits"`
-/// object — shared with the `fitsd` response bodies so every service that
-/// reports per-ISA numbers speaks one schema.
-#[must_use]
-pub fn isa_json(agg: &IsaAggregate) -> String {
-    format!(
-        "{{\"cycles\": {}, \"icache_j\": {}, \"icache_switching_j\": {}, \
-         \"icache_internal_j\": {}, \"icache_leakage_j\": {}, \"chip_j\": {}, \
-         \"peak_w\": {}}}",
-        agg.cycles,
-        stamp::json_f64(agg.icache_j()),
-        stamp::json_f64(agg.icache_switching_j),
-        stamp::json_f64(agg.icache_internal_j),
-        stamp::json_f64(agg.icache_leakage_j),
-        stamp::json_f64(agg.chip_j),
-        stamp::json_f64(agg.peak_w),
-    )
+/// Writes one per-ISA aggregate as the sweep schema's inline
+/// `"arm"`/`"fits"` object — shared with the `fitsd` response bodies so
+/// every service that reports per-ISA numbers speaks one schema.
+pub fn write_isa(w: &mut Writer, agg: &IsaAggregate) {
+    w.begin_obj();
+    w.field_u64("cycles", agg.cycles);
+    for (key, v) in [
+        ("icache_j", agg.icache_j()),
+        ("icache_switching_j", agg.icache_switching_j),
+        ("icache_internal_j", agg.icache_internal_j),
+        ("icache_leakage_j", agg.icache_leakage_j),
+        ("chip_j", agg.chip_j),
+        ("peak_w", agg.peak_w),
+    ] {
+        w.field_f64_prec(key, v, 6);
+    }
+    w.end_obj();
+}
+
+/// Writes a sweep's members after its header: scale, kernels, grid axes
+/// and one record per scenario. `lines` puts the grid and each scenario
+/// record one member per line, as the `SWEEP.json` archive does; fitsd's
+/// `/sweep` body keeps them inline.
+pub fn write_sweep_fields(w: &mut Writer, results: &SweepResults, lines: bool) {
+    let open = |w: &mut Writer| {
+        if lines {
+            w.begin_obj_lines();
+        } else {
+            w.begin_obj();
+        }
+    };
+    w.field_u64("scale_n", u64::from(results.scale.n));
+    w.field_u64("executions_per_kernel", results.executions_per_kernel);
+    w.key("kernels");
+    w.begin_arr();
+    results.kernels.iter().for_each(|k| w.str(k.name()));
+    w.end_arr();
+    w.key("grid");
+    open(w);
+    w.key("icache_bytes");
+    w.begin_arr();
+    results.icache_sizes.iter().for_each(|&b| w.u64(b.into()));
+    w.end_arr();
+    w.key("tech");
+    w.begin_arr();
+    results.tech_names.iter().for_each(|t| w.str(t));
+    w.end_arr();
+    w.end_obj();
+    w.key("scenarios");
+    w.begin_arr_lines();
+    for p in &results.points {
+        open(w);
+        w.field_str("id", &p.id);
+        w.field_u64("icache_bytes", p.icache_bytes.into());
+        w.field_str("tech", &p.tech_name);
+        w.key("arm");
+        write_isa(w, &p.arm);
+        w.key("fits");
+        write_isa(w, &p.fits);
+        w.field_f64_prec("icache_saving", p.icache_saving(), 6);
+        w.field_f64_prec("chip_saving", p.chip_saving(), 6);
+        w.end_obj();
+    }
+    w.end_arr();
 }
 
 /// Serializes a sweep into the `powerfits-sweep-v1` JSON schema (see
 /// [`fits_obs::json::validate_sweep_json`]).
 #[must_use]
 pub fn sweep_json(results: &SweepResults) -> String {
-    let kernels: Vec<String> = results
-        .kernels
-        .iter()
-        .map(|k| format!("\"{}\"", escape(k.name())))
-        .collect();
-    let sizes: Vec<String> = results
-        .icache_sizes
-        .iter()
-        .map(ToString::to_string)
-        .collect();
-    let tech: Vec<String> = results
-        .tech_names
-        .iter()
-        .map(|t| format!("\"{}\"", escape(t)))
-        .collect();
-    let scenarios: Vec<String> = results
-        .points
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{\n      \"id\": \"{id}\",\n      \"icache_bytes\": {bytes},\n      \
-                 \"tech\": \"{tech}\",\n      \"arm\": {arm},\n      \"fits\": {fits},\n      \
-                 \"icache_saving\": {isave},\n      \"chip_saving\": {csave}\n    }}",
-                id = escape(&p.id),
-                bytes = p.icache_bytes,
-                tech = escape(&p.tech_name),
-                arm = isa_json(&p.arm),
-                fits = isa_json(&p.fits),
-                isave = stamp::json_f64(p.icache_saving()),
-                csave = stamp::json_f64(p.chip_saving()),
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"schema\": \"powerfits-sweep-v1\",\n  \"meta\": {meta},\n  \
-         \"scale_n\": {n},\n  \"executions_per_kernel\": {execs},\n  \
-         \"kernels\": [{kernels}],\n  \"grid\": {{\n    \"icache_bytes\": [{sizes}],\n    \
-         \"tech\": [{tech}]\n  }},\n  \"scenarios\": [\n{scenarios}\n  ]\n}}\n",
-        meta = stamp::meta_json("  "),
-        n = results.scale.n,
-        execs = results.executions_per_kernel,
-        kernels = kernels.join(", "),
-        sizes = sizes.join(", "),
-        tech = tech.join(", "),
-        scenarios = scenarios.join(",\n"),
-    )
+    let mut w = Writer::new(Spacing::Spaced);
+    w.begin_obj_lines();
+    w.field_str("schema", "powerfits-sweep-v1");
+    w.key("meta");
+    stamp::write_meta(&mut w, &[]);
+    write_sweep_fields(&mut w, results, true);
+    w.end_obj();
+    w.finish() + "\n"
 }
 
 #[cfg(test)]

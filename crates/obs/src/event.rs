@@ -23,7 +23,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use crate::json::Shape::{Arr, Lit, Num, Obj, Str};
-use crate::json::{text_of, typed_line, Shape, Value, Writer};
+use crate::json::{text_of, typed_line, Shape, Spacing, Value, Writer};
 use crate::metrics::Counter;
 use crate::span::Span;
 
@@ -86,7 +86,7 @@ impl AccessRecord<'_> {
         } else {
             Level::Info
         };
-        let mut w = Writer::new();
+        let mut w = Writer::new(Spacing::Spaced);
         w.begin_obj();
         w.field_str("type", "request");
         w.field_str("level", level.name());
@@ -128,7 +128,7 @@ fn write_phases(w: &mut Writer, span: &Span, prefix: &str) {
 /// Renders a leveled `event` record as one JSONL line.
 #[must_use]
 pub fn event_line(level: Level, message: &str) -> String {
-    let mut w = Writer::new();
+    let mut w = Writer::new(Spacing::Spaced);
     w.begin_obj();
     w.field_str("type", "event");
     w.field_str("level", level.name());
@@ -140,7 +140,7 @@ pub fn event_line(level: Level, message: &str) -> String {
 /// Renders the leading `meta` record.
 #[must_use]
 pub fn meta_line(commit: &str) -> String {
-    let mut w = Writer::new();
+    let mut w = Writer::new(Spacing::Spaced);
     w.begin_obj();
     w.field_str("type", "meta");
     w.field_str("schema", ACCESS_SCHEMA);

@@ -365,43 +365,65 @@ pub fn escape(s: &str) -> String {
 
 // ---------------------------------------------------------------- writer
 
-/// What the writer is currently inside of, and whether a separator is due.
+/// How a [`Writer`] separates the members of a container on one line.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Spacing {
+    /// `,` between members and `:` after a key: `{"a":1,"b":[2,3]}`.
+    Compact,
+    /// `, ` between members and `: ` after a key: `{"a": 1, "b": [2, 3]}`.
+    Spaced,
+}
+
+/// An open container, and whether a separator is due.
 #[derive(Clone, Copy, Debug)]
-enum Frame {
-    Obj { first: bool },
-    Arr { first: bool },
+struct Frame {
+    obj: bool,
+    /// No member written yet.
+    first: bool,
+    /// One member per line.
+    lines: bool,
 }
 
 /// A streaming JSON builder that makes escaping and nesting bugs
-/// impossible by construction.
+/// impossible by construction. Every JSON document the workspace emits is
+/// built with it.
 ///
 /// Every string value and key goes through [`escape`]; commas and braces
 /// are managed by a frame stack, so an emitter built on this writer can
 /// produce malformed output only by asking for an ill-formed *shape*
 /// (e.g. a key at array level) — and those misuses are repaired rather
-/// than panicking: a stray key is dropped, unclosed frames are closed by
-/// [`Writer::finish`]. Hand-`format!`ed JSON throughout the workspace is
-/// being replaced with this builder; the `fitsd` metrics snapshot and the
-/// access-log event lines are built with it.
+/// than panicking: a stray key is dropped, a key left without a value
+/// gets `null`, unclosed frames are closed by [`Writer::finish`].
+///
+/// Layout is two choices. The [`Spacing`], made at construction, sets the
+/// separators within a line. Each container is opened either inline
+/// ([`Writer::begin_obj`], [`Writer::begin_arr`]) or with one member per
+/// line ([`Writer::begin_obj_lines`], [`Writer::begin_arr_lines`]): each
+/// member of a line-broken container at nesting depth `d` starts a new
+/// line indented `2 × d` spaces, its closer is indented `2 × (d − 1)`,
+/// and an empty one renders as `{}` or `[]`. Floats have one non-finite
+/// policy: `null`, since JSON has no NaN or infinity.
 ///
 /// ```
-/// use fits_obs::json::{parse, Writer};
-/// let mut w = Writer::new();
-/// w.begin_obj();
+/// use fits_obs::json::{parse, Spacing, Writer};
+/// let mut w = Writer::new(Spacing::Spaced);
+/// w.begin_obj_lines();
 /// w.field_str("name", "needs \"escaping\"\n");
 /// w.key("items");
 /// w.begin_arr();
 /// w.u64(1);
-/// w.u64(2);
+/// w.f64(2.5e-9);
 /// w.end_arr();
 /// w.end_obj();
 /// let text = w.finish();
+/// assert_eq!(text, "{\n  \"name\": \"needs \\\"escaping\\\"\\n\",\n  \"items\": [1, 2.5e-9]\n}");
 /// assert!(parse(&text).is_ok());
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Writer {
     buf: String,
     stack: Vec<Frame>,
+    spacing: Spacing,
     /// A `key()` was written and awaits its value.
     pending_key: bool,
 }
@@ -409,8 +431,13 @@ pub struct Writer {
 impl Writer {
     /// An empty writer.
     #[must_use]
-    pub fn new() -> Writer {
-        Writer::default()
+    pub fn new(spacing: Spacing) -> Writer {
+        Writer {
+            buf: String::new(),
+            stack: Vec::new(),
+            spacing,
+            pending_key: false,
+        }
     }
 
     /// Emits the separator due before a new value in the current frame.
@@ -419,59 +446,99 @@ impl Writer {
             self.pending_key = false;
             return; // `key()` already wrote `"key":` — the value follows.
         }
-        match self.stack.last_mut() {
-            Some(Frame::Obj { first } | Frame::Arr { first }) => {
-                if *first {
-                    *first = false;
-                } else {
-                    self.buf.push(',');
-                }
-            }
-            None => {}
+        let depth = self.stack.len();
+        let Some(frame) = self.stack.last_mut() else {
+            return;
+        };
+        let first = std::mem::replace(&mut frame.first, false);
+        let lines = frame.lines;
+        if !first {
+            self.buf.push(',');
         }
+        if lines {
+            self.newline(depth);
+        } else if !first && self.spacing == Spacing::Spaced {
+            self.buf.push(' ');
+        }
+    }
+
+    fn newline(&mut self, depth: usize) {
+        self.buf.push('\n');
+        for _ in 0..depth {
+            self.buf.push_str("  ");
+        }
+    }
+
+    fn open(&mut self, obj: bool, lines: bool) {
+        self.separate();
+        self.buf.push(if obj { '{' } else { '[' });
+        self.stack.push(Frame {
+            obj,
+            first: true,
+            lines,
+        });
+    }
+
+    /// Closes the innermost frame, if it is an object (`obj`) or an array.
+    fn close(&mut self, obj: bool) {
+        let Some(frame) = self.stack.pop_if(|f| f.obj == obj) else {
+            return;
+        };
+        if self.pending_key {
+            // A key with no value would be malformed; null it out.
+            self.buf.push_str("null");
+            self.pending_key = false;
+        }
+        if frame.lines && !frame.first {
+            self.newline(self.stack.len());
+        }
+        self.buf.push(if obj { '}' } else { ']' });
     }
 
     /// Writes an object key. Must be followed by exactly one value call;
     /// outside an object the key is dropped (the value still lands).
     pub fn key(&mut self, name: &str) {
-        if !matches!(self.stack.last(), Some(Frame::Obj { .. })) || self.pending_key {
+        if !matches!(self.stack.last(), Some(f) if f.obj) || self.pending_key {
             return; // shape misuse: drop the key, keep the document valid
         }
         self.separate();
         self.buf.push('"');
         self.buf.push_str(&escape(name));
-        self.buf.push_str("\": ");
+        self.buf.push_str(match self.spacing {
+            Spacing::Compact => "\":",
+            Spacing::Spaced => "\": ",
+        });
         self.pending_key = true;
     }
 
-    /// Opens an object (as the current value).
+    /// Opens an inline object (as the current value).
     pub fn begin_obj(&mut self) {
-        self.separate();
-        self.buf.push('{');
-        self.stack.push(Frame::Obj { first: true });
+        self.open(true, false);
+    }
+
+    /// Opens an object with one member per line (as the current value).
+    pub fn begin_obj_lines(&mut self) {
+        self.open(true, true);
     }
 
     /// Closes the innermost object.
     pub fn end_obj(&mut self) {
-        if matches!(self.stack.last(), Some(Frame::Obj { .. })) {
-            self.stack.pop();
-            self.buf.push('}');
-        }
+        self.close(true);
     }
 
-    /// Opens an array (as the current value).
+    /// Opens an inline array (as the current value).
     pub fn begin_arr(&mut self) {
-        self.separate();
-        self.buf.push('[');
-        self.stack.push(Frame::Arr { first: true });
+        self.open(false, false);
+    }
+
+    /// Opens an array with one item per line (as the current value).
+    pub fn begin_arr_lines(&mut self) {
+        self.open(false, true);
     }
 
     /// Closes the innermost array.
     pub fn end_arr(&mut self) {
-        if matches!(self.stack.last(), Some(Frame::Arr { .. })) {
-            self.stack.pop();
-            self.buf.push(']');
-        }
+        self.close(false);
     }
 
     /// Writes a string value (escaped).
@@ -488,26 +555,25 @@ impl Writer {
         self.buf.push_str(&v.to_string());
     }
 
-    /// Writes a float value. Non-finite inputs (which JSON cannot
-    /// represent) degrade to `0` — the report degrades, never the
-    /// document.
-    pub fn f64(&mut self, v: f64) {
+    /// Writes a finite float, `null` otherwise.
+    fn float(&mut self, v: f64, render: impl FnOnce(f64) -> String) {
         self.separate();
         if v.is_finite() {
-            self.buf.push_str(&v.to_string());
+            self.buf.push_str(&render(v));
         } else {
-            self.buf.push('0');
+            self.buf.push_str("null");
         }
     }
 
-    /// Writes a float value with fixed decimal precision.
+    /// Writes a float in full precision, in scientific notation (`2.5e-9`):
+    /// exact where fixed decimals would flush a nano-joule energy to zero.
+    pub fn f64(&mut self, v: f64) {
+        self.float(v, |v| format!("{v:e}"));
+    }
+
+    /// Writes a float with fixed decimal precision.
     pub fn f64_prec(&mut self, v: f64, decimals: usize) {
-        self.separate();
-        if v.is_finite() {
-            self.buf.push_str(&format!("{v:.decimals$}"));
-        } else {
-            self.buf.push('0');
-        }
+        self.float(v, |v| format!("{v:.decimals$}"));
     }
 
     /// Writes a boolean value.
@@ -535,7 +601,7 @@ impl Writer {
         self.u64(v);
     }
 
-    /// `key` + float value (shortest representation).
+    /// `key` + float value in full precision ([`Writer::f64`]).
     pub fn field_f64(&mut self, k: &str, v: f64) {
         self.key(k);
         self.f64(v);
@@ -563,16 +629,9 @@ impl Writer {
     /// the JSON text.
     #[must_use]
     pub fn finish(mut self) -> String {
-        if self.pending_key {
-            // A key with no value would be malformed; null it out.
-            self.buf.push_str("null");
-            self.pending_key = false;
-        }
-        while let Some(frame) = self.stack.pop() {
-            self.buf.push(match frame {
-                Frame::Obj { .. } => '}',
-                Frame::Arr { .. } => ']',
-            });
+        while let Some(frame) = self.stack.last() {
+            let obj = frame.obj;
+            self.close(obj);
         }
         self.buf
     }
@@ -877,7 +936,7 @@ pub fn validate_trace_jsonl(text: &str) -> Result<TraceCounts, String> {
     Ok(counts)
 }
 
-/// The seven per-ISA fields `isa_json` emits: a sweep scenario's and a
+/// The seven per-ISA fields `write_isa` emits: a sweep scenario's and a
 /// fitsd body's `arm`/`fits` aggregates.
 pub const ISA_AGGREGATE: Shape = Obj(&[(
     "cycles icache_j icache_switching_j icache_internal_j icache_leakage_j chip_j peak_w",
@@ -1218,6 +1277,119 @@ mod tests {
         let original = "a\"b\\c\nd\te\u{1}f";
         let quoted = format!("\"{}\"", escape(original));
         assert_eq!(parse(&quoted).unwrap(), Value::Str(original.to_string()));
+    }
+
+    /// The text of one value written by `write` with compact spacing.
+    fn one(write: impl FnOnce(&mut Writer)) -> String {
+        let mut w = Writer::new(Spacing::Compact);
+        write(&mut w);
+        w.finish()
+    }
+
+    #[test]
+    fn layout_follows_nesting_depth() {
+        let write = |w: &mut Writer| {
+            w.begin_obj_lines();
+            w.key("meta");
+            w.begin_obj_lines();
+            w.field_u64("a", 1);
+            w.end_obj();
+            w.key("row");
+            w.begin_obj();
+            w.field_str("k", "v");
+            w.field_bool("b", true);
+            w.end_obj();
+            w.key("rows");
+            w.begin_arr_lines();
+            for i in 0..2 {
+                w.begin_arr();
+                w.u64(i);
+                w.u64(i + 1);
+                w.end_arr();
+            }
+            w.end_arr();
+            w.key("empty");
+            w.begin_arr_lines();
+            w.end_arr();
+            w.end_obj();
+        };
+        let mut spaced = Writer::new(Spacing::Spaced);
+        write(&mut spaced);
+        assert_eq!(
+            spaced.finish(),
+            "{\n  \"meta\": {\n    \"a\": 1\n  },\n  \"row\": {\"k\": \"v\", \"b\": true},\n  \
+             \"rows\": [\n    [0, 1],\n    [1, 2]\n  ],\n  \"empty\": []\n}"
+        );
+        assert_eq!(
+            one(|w| {
+                w.begin_obj();
+                w.field_str("k", "v");
+                w.key("a");
+                w.begin_arr();
+                w.u64(1);
+                w.raw("null");
+                w.end_arr();
+            }),
+            "{\"k\":\"v\",\"a\":[1,null]}"
+        );
+    }
+
+    #[test]
+    fn non_finite_numbers_become_null() {
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(one(|w| w.f64_prec(v, 6)), "null");
+            assert_eq!(one(|w| w.f64(v)), "null");
+        }
+        assert_eq!(one(|w| w.f64_prec(1.5, 6)), "1.500000");
+    }
+
+    #[test]
+    fn energy_keeps_what_fixed_precision_flushes() {
+        assert_eq!(one(|w| w.f64_prec(1e-12, 6)), "0.000000");
+        assert_eq!(one(|w| w.f64(1e-12)), "1e-12");
+        let v = parse(&one(|w| w.f64(1e-12))).unwrap();
+        assert_eq!(v.as_f64(), Some(1e-12));
+        assert_eq!(one(|w| w.f64(2.5e-9)), "2.5e-9");
+    }
+
+    #[test]
+    fn non_finite_floats_keep_every_document_parseable() {
+        for spacing in [Spacing::Compact, Spacing::Spaced] {
+            for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut w = Writer::new(spacing);
+                w.begin_obj_lines();
+                w.field_f64("full", v);
+                w.field_f64_prec("fixed", v, 6);
+                w.key("items");
+                w.begin_arr();
+                w.f64(v);
+                w.f64_prec(v, 3);
+                w.end_arr();
+                w.end_obj();
+                let doc = parse(&w.finish()).unwrap();
+                assert_eq!(doc.get("full"), Some(&Value::Null));
+                assert_eq!(doc.get("fixed"), Some(&Value::Null));
+                assert_eq!(
+                    doc.get("items"),
+                    Some(&Value::Arr(vec![Value::Null, Value::Null]))
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn writer_repairs_shape_misuse() {
+        // A key at array level is dropped, a key without a value is
+        // nulled, and open frames are closed.
+        let text = one(|w| {
+            w.begin_arr();
+            w.key("stray");
+            w.u64(1);
+            w.begin_obj_lines();
+            w.key("dangling");
+        });
+        assert_eq!(text, "[1,{\n    \"dangling\":null\n  }]");
+        assert!(parse(&text).is_ok());
     }
 
     fn sample_lines() -> Vec<String> {

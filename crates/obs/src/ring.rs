@@ -12,7 +12,7 @@
 use std::collections::VecDeque;
 use std::sync::{Mutex, MutexGuard};
 
-use crate::json::Writer;
+use crate::json::{Spacing, Writer};
 use crate::span::Span;
 
 /// Schema identifier of the flight-recorder JSON dump.
@@ -117,7 +117,7 @@ impl FlightRecorder {
     #[must_use]
     pub fn render_json(&self) -> String {
         let inner = self.lock();
-        let mut w = Writer::new();
+        let mut w = Writer::new(Spacing::Spaced);
         w.begin_obj();
         w.field_str("schema", FLIGHT_SCHEMA);
         w.field_u64("total", inner.seq);

@@ -21,15 +21,15 @@
 use std::sync::Arc;
 
 use fits_bench::{
-    cache_bounds_report_with, isa_json, price_shared_member, run_kernel_scenarios, synth_key,
-    Artifacts, ExperimentError,
+    cache_bounds_report_with, price_shared_member, run_kernel_scenarios, synth_key, write_isa,
+    write_sweep_fields, Artifacts, ExperimentError, IsaAggregate, SweepPoint,
 };
 use fits_core::{synthesize_multi, MultiError, MultiMember, MultiOptions, SynthOptions};
 use fits_isa::spec::{builtin_ar32, excerpt, IsaSpec, SpecCatalog};
 use fits_kernels::kernels::{Kernel, Scale};
 use fits_obs::json::Shape::{self, Arr, Bool, Lit, NonEmpty, Num, Obj, Str};
 use fits_obs::json::{
-    check, check_cache_bounds, escape, parse, Value, CACHE_BOUNDS, ISA_AGGREGATE,
+    check, check_cache_bounds, parse, Spacing, Value, Writer, CACHE_BOUNDS, ISA_AGGREGATE,
 };
 use fits_power::TechParams;
 use fits_scenario::{tech_preset, ScenarioError, ScenarioMatrix, ScenarioSpec, PRESET_NAMES};
@@ -67,13 +67,7 @@ impl ApiError {
     /// The 400 response body for this rejection.
     #[must_use]
     pub fn body(&self) -> String {
-        format!(
-            "{{\n  \"schema\": \"{SCHEMA}\",\n  \"endpoint\": \"error\",\n  \"error\": {{\
-             \"code\": \"{}\", \"pointer\": \"{}\", \"message\": \"{}\"}}\n}}\n",
-            escape(self.code),
-            escape(&self.pointer),
-            escape(&self.message),
-        )
+        error_body(self.code, &self.pointer, &self.message)
     }
 }
 
@@ -717,19 +711,36 @@ impl PostRequest {
 
 // ---------------------------------------------------------------- responses
 
-fn saving(ours: f64, base: f64) -> f64 {
-    if base == 0.0 {
-        0.0
-    } else {
-        1.0 - ours / base
-    }
+/// A `powerfits-serve-v1` body for `endpoint`, one member per line, open
+/// for the rest of its members. Every body ends with a newline.
+fn body(endpoint: &str) -> Writer {
+    let mut w = Writer::new(Spacing::Spaced);
+    w.begin_obj_lines();
+    w.field_str("schema", SCHEMA);
+    w.field_str("endpoint", endpoint);
+    w
 }
 
-fn synth_json(options: &SynthOptions) -> String {
-    format!(
-        "{{\"toggle_aware\": {}, \"reg_bits\": {}, \"space_budget\": {:.6}, \"max_dict_bits\": {}}}",
-        options.toggle_aware, options.reg_bits, options.space_budget, options.max_dict_bits,
-    )
+/// An `"error"` body (400 or 500).
+fn error_body(code: &str, pointer: &str, message: &str) -> String {
+    let mut w = body("error");
+    w.key("error");
+    w.begin_obj();
+    w.field_str("code", code);
+    w.field_str("pointer", pointer);
+    w.field_str("message", message);
+    w.finish() + "\n"
+}
+
+/// Writes the `"synth"` member: the synthesis options the body ran under.
+fn write_synth(w: &mut Writer, options: &SynthOptions) {
+    w.key("synth");
+    w.begin_obj();
+    w.field_bool("toggle_aware", options.toggle_aware);
+    w.field_u64("reg_bits", options.reg_bits.into());
+    w.field_f64_prec("space_budget", options.space_budget, 6);
+    w.field_u64("max_dict_bits", options.max_dict_bits.into());
+    w.end_obj();
 }
 
 /// Computes the `/synthesize` response body — a pure function of the
@@ -747,25 +758,19 @@ fn synthesize_body(
     let program = artifacts.program(kernel, req.scale)?;
     let flow = artifacts.flow(kernel, req.scale)?;
     let thumb = artifacts.thumb(kernel, req.scale)?;
-    Ok(format!(
-        "{{\n  \"schema\": \"{SCHEMA}\",\n  \"endpoint\": \"synthesize\",\n  \
-         \"kernel\": \"{kernel}\",\n  \"scale_n\": {n},\n  \"synth\": {synth},\n  \
-         \"arm_code_bytes\": {arm},\n  \"thumb_code_bytes\": {thumb},\n  \
-         \"fits_code_bytes\": {fits},\n  \"code_ratio\": {ratio:.6},\n  \
-         \"mapping_static\": {ms:.6},\n  \"mapping_dynamic\": {md:.6},\n  \
-         \"config_bits\": {bits},\n  \"iterations\": {iters}\n}}\n",
-        kernel = escape(kernel.name()),
-        n = req.scale.n,
-        synth = synth_json(&req.synth),
-        arm = program.code_bytes(),
-        thumb = thumb.code_bytes(),
-        fits = flow.fits.code_bytes(),
-        ratio = flow.code_ratio(program.code_bytes()),
-        ms = flow.mapping.static_one_to_one_rate(),
-        md = flow.dynamic_rate(),
-        bits = flow.fits.config.config_bits(),
-        iters = flow.iterations,
-    ))
+    let mut w = body("synthesize");
+    w.field_str("kernel", kernel.name());
+    w.field_u64("scale_n", req.scale.n.into());
+    write_synth(&mut w, &req.synth);
+    w.field_u64("arm_code_bytes", program.code_bytes() as u64);
+    w.field_u64("thumb_code_bytes", thumb.code_bytes() as u64);
+    w.field_u64("fits_code_bytes", flow.fits.code_bytes() as u64);
+    w.field_f64_prec("code_ratio", flow.code_ratio(program.code_bytes()), 6);
+    w.field_f64_prec("mapping_static", flow.mapping.static_one_to_one_rate(), 6);
+    w.field_f64_prec("mapping_dynamic", flow.dynamic_rate(), 6);
+    w.field_u64("config_bits", flow.fits.config.config_bits() as u64);
+    w.field_u64("iterations", flow.iterations as u64);
+    Ok(w.finish() + "\n")
 }
 
 /// Computes the `/simulate` response body (both ISAs at one machine
@@ -783,25 +788,27 @@ fn simulate_body(
     let matrix = ScenarioMatrix {
         scenarios: vec![scenario.clone()],
     };
-    let mut runs = run_kernel_scenarios(artifacts, kernel, req.scale, &matrix)?;
-    let run = runs.remove(0);
-    let arm = fits_bench::IsaAggregate::from_run(&run.arm);
-    let fits = fits_bench::IsaAggregate::from_run(&run.fits);
-    Ok(format!(
-        "{{\n  \"schema\": \"{SCHEMA}\",\n  \"endpoint\": \"simulate\",\n  \
-         \"kernel\": \"{kernel}\",\n  \"scale_n\": {n},\n  \"scenario\": \"{id}\",\n  \
-         \"icache_bytes\": {bytes},\n  \"tech\": \"{tech}\",\n  \"arm\": {arm},\n  \
-         \"fits\": {fits},\n  \"icache_saving\": {isave:.6},\n  \"chip_saving\": {csave:.6}\n}}\n",
-        kernel = escape(kernel.name()),
-        n = req.scale.n,
-        id = escape(run.scenario.id()),
-        bytes = run.scenario.icache.size_bytes,
-        tech = escape(&run.scenario.tech_name),
-        arm = isa_json(&arm),
-        fits = isa_json(&fits),
-        isave = saving(fits.icache_j(), arm.icache_j()),
-        csave = saving(fits.chip_j, arm.chip_j),
-    ))
+    let run = run_kernel_scenarios(artifacts, kernel, req.scale, &matrix)?.remove(0);
+    let point = SweepPoint {
+        id: run.scenario.id().to_string(),
+        icache_bytes: run.scenario.icache.size_bytes,
+        tech_name: run.scenario.tech_name.clone(),
+        arm: IsaAggregate::from_run(&run.arm),
+        fits: IsaAggregate::from_run(&run.fits),
+    };
+    let mut w = body("simulate");
+    w.field_str("kernel", kernel.name());
+    w.field_u64("scale_n", req.scale.n.into());
+    w.field_str("scenario", &point.id);
+    w.field_u64("icache_bytes", point.icache_bytes.into());
+    w.field_str("tech", &point.tech_name);
+    w.key("arm");
+    write_isa(&mut w, &point.arm);
+    w.key("fits");
+    write_isa(&mut w, &point.fits);
+    w.field_f64_prec("icache_saving", point.icache_saving(), 6);
+    w.field_f64_prec("chip_saving", point.chip_saving(), 6);
+    Ok(w.finish() + "\n")
 }
 
 /// Computes the `/analyze` response body: the `CA` abstract-interpretation
@@ -821,17 +828,14 @@ fn analyze_body(
     static_only: bool,
 ) -> Result<String, ExperimentError> {
     let report = cache_bounds_report_with(artifacts, &[kernel], scenario, req.scale, !static_only)?;
-    Ok(format!(
-        "{{\n  \"schema\": \"{SCHEMA}\",\n  \"endpoint\": \"analyze\",\n  \
-         \"kernel\": \"{kernel}\",\n  \"scale_n\": {n},\n  \"scenario\": \"{id}\",\n  \
-         \"traced\": {traced},\n  \"sound\": {sound},\n  \"report\": {report}\n}}\n",
-        kernel = escape(kernel.name()),
-        n = req.scale.n,
-        id = escape(scenario.id()),
-        traced = !static_only,
-        sound = report.is_sound(),
-        report = report.render_json(),
-    ))
+    let mut w = body("analyze");
+    w.field_str("kernel", kernel.name());
+    w.field_u64("scale_n", req.scale.n.into());
+    w.field_str("scenario", scenario.id());
+    w.field_bool("traced", !static_only);
+    w.field_bool("sound", report.is_sound());
+    w.field_raw("report", &report.render_json());
+    Ok(w.finish() + "\n")
 }
 
 /// Computes the `/sweep` response body. Unlike the `fitssweep` archive
@@ -848,51 +852,9 @@ fn sweep_body(
     matrix: &ScenarioMatrix,
 ) -> Result<String, ExperimentError> {
     let results = fits_bench::run_sweep_with(artifacts, kernels, req.scale, matrix)?;
-    let kernels: Vec<String> = results
-        .kernels
-        .iter()
-        .map(|k| format!("\"{}\"", escape(k.name())))
-        .collect();
-    let sizes: Vec<String> = results
-        .icache_sizes
-        .iter()
-        .map(ToString::to_string)
-        .collect();
-    let tech: Vec<String> = results
-        .tech_names
-        .iter()
-        .map(|t| format!("\"{}\"", escape(t)))
-        .collect();
-    let scenarios: Vec<String> = results
-        .points
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{\"id\": \"{id}\", \"icache_bytes\": {bytes}, \"tech\": \"{tech}\", \
-                 \"arm\": {arm}, \"fits\": {fits}, \"icache_saving\": {isave:.6}, \
-                 \"chip_saving\": {csave:.6}}}",
-                id = escape(&p.id),
-                bytes = p.icache_bytes,
-                tech = escape(&p.tech_name),
-                arm = isa_json(&p.arm),
-                fits = isa_json(&p.fits),
-                isave = p.icache_saving(),
-                csave = p.chip_saving(),
-            )
-        })
-        .collect();
-    Ok(format!(
-        "{{\n  \"schema\": \"{SCHEMA}\",\n  \"endpoint\": \"sweep\",\n  \"scale_n\": {n},\n  \
-         \"executions_per_kernel\": {execs},\n  \"kernels\": [{kernels}],\n  \
-         \"grid\": {{\"icache_bytes\": [{sizes}], \"tech\": [{tech}]}},\n  \
-         \"scenarios\": [\n{scenarios}\n  ]\n}}\n",
-        n = results.scale.n,
-        execs = results.executions_per_kernel,
-        kernels = kernels.join(", "),
-        sizes = sizes.join(", "),
-        tech = tech.join(", "),
-        scenarios = scenarios.join(",\n"),
-    ))
+    let mut w = body("sweep");
+    write_sweep_fields(&mut w, &results, false);
+    Ok(w.finish() + "\n")
 }
 
 /// Computes the `/synthesize-multi` response body: one shared ISA over
@@ -917,24 +879,18 @@ fn synthesize_multi_body(
     epsilon: f64,
 ) -> Result<String, ExperimentError> {
     let scenario = ScenarioSpec::sa1100();
-    let head = format!(
-        "{{\n  \"schema\": \"{SCHEMA}\",\n  \"endpoint\": \"synthesize-multi\",\n  \
-         \"kernels\": [{kernels}],\n  \"weights\": [{weights}],\n  \"scale_n\": {n},\n  \
-         \"epsilon\": {eps:.6},\n  \"synth\": {synth}",
-        kernels = kernels
-            .iter()
-            .map(|k| format!("\"{}\"", escape(k.name())))
-            .collect::<Vec<_>>()
-            .join(", "),
-        weights = weights
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join(", "),
-        n = req.scale.n,
-        eps = epsilon,
-        synth = synth_json(&req.synth),
-    );
+    let mut w = body("synthesize-multi");
+    w.key("kernels");
+    w.begin_arr();
+    kernels.iter().for_each(|k| w.str(k.name()));
+    w.end_arr();
+    w.key("weights");
+    w.begin_arr();
+    weights.iter().for_each(|&x| w.u64(x));
+    w.end_arr();
+    w.field_u64("scale_n", req.scale.n.into());
+    w.field_f64_prec("epsilon", epsilon, 6);
+    write_synth(&mut w, &req.synth);
 
     let programs: Vec<_> = kernels
         .iter()
@@ -970,15 +926,26 @@ fn synthesize_multi_body(
             shared,
             epsilon,
         }) => {
-            return Ok(format!(
-                "{head},\n  \"accepted\": false,\n  \"rejected\": {{\"member\": \"{m}\", \
-                 \"solo_expansion\": {solo:.6}, \"shared_expansion\": {shared:.6}, \
-                 \"epsilon\": {epsilon:.6}}}\n}}\n",
-                m = escape(&member),
-            ))
+            w.field_bool("accepted", false);
+            w.key("rejected");
+            w.begin_obj();
+            w.field_str("member", &member);
+            w.field_f64_prec("solo_expansion", solo, 6);
+            w.field_f64_prec("shared_expansion", shared, 6);
+            w.field_f64_prec("epsilon", epsilon, 6);
+            return Ok(w.finish() + "\n");
         }
         Err(e) => return Err(ExperimentError::Multi(e)),
     };
+    w.field_bool("accepted", true);
+    w.field_str("merged_profile", &outcome.merged_hash);
+    w.key("shared");
+    w.begin_obj();
+    w.field_u64("code_bytes", outcome.shared_code_bytes() as u64);
+    w.field_u64("config_bits", outcome.synthesis.config.config_bits() as u64);
+    w.field_u64("decoder_slots", outcome.synthesis.config.ops.len() as u64);
+    w.field_u64("iterations", outcome.iterations as u64);
+    w.end_obj();
 
     // Per-member pricing: the shared binary through the same replay path
     // as the library report, the solo baseline from the shared artifact
@@ -986,38 +953,24 @@ fn synthesize_multi_body(
     let matrix = ScenarioMatrix {
         scenarios: vec![scenario.clone()],
     };
-    let mut member_bodies = Vec::with_capacity(outcome.members.len());
+    w.key("members");
+    w.begin_arr_lines();
     for (kernel, m) in kernels.iter().zip(&outcome.members) {
         let shared_run = price_shared_member(&m.translation.fits, &scenario)?;
-        let mut solo_runs = run_kernel_scenarios(artifacts, *kernel, req.scale, &matrix)?;
-        let solo_run = solo_runs.remove(0).fits;
-        let shared = fits_bench::IsaAggregate::from_run(&shared_run);
-        let solo = fits_bench::IsaAggregate::from_run(&solo_run);
-        member_bodies.push(format!(
-            "    {{\"kernel\": \"{kernel}\", \"solo_code_bytes\": {scb}, \
-             \"shared_code_bytes\": {hcb}, \"regression\": {reg:.6}, \
-             \"solo\": {solo}, \"shared\": {shared}}}",
-            kernel = escape(&m.name),
-            scb = m.solo_code_bytes,
-            hcb = m.translation.fits.code_bytes(),
-            reg = m.regression,
-            solo = isa_json(&solo),
-            shared = isa_json(&shared),
-        ));
+        let solo_run = run_kernel_scenarios(artifacts, *kernel, req.scale, &matrix)?.remove(0);
+        w.begin_obj();
+        w.field_str("kernel", &m.name);
+        w.field_u64("solo_code_bytes", m.solo_code_bytes as u64);
+        w.field_u64("shared_code_bytes", m.translation.fits.code_bytes() as u64);
+        w.field_f64_prec("regression", m.regression, 6);
+        w.key("solo");
+        write_isa(&mut w, &IsaAggregate::from_run(&solo_run.fits));
+        w.key("shared");
+        write_isa(&mut w, &IsaAggregate::from_run(&shared_run));
+        w.end_obj();
     }
-
-    Ok(format!(
-        "{head},\n  \"accepted\": true,\n  \"merged_profile\": \"{hash}\",\n  \
-         \"shared\": {{\"code_bytes\": {code}, \"config_bits\": {bits}, \
-         \"decoder_slots\": {slots}, \"iterations\": {iters}}},\n  \
-         \"members\": [\n{members}\n  ]\n}}\n",
-        hash = escape(&outcome.merged_hash),
-        code = outcome.shared_code_bytes(),
-        bits = outcome.synthesis.config.config_bits(),
-        slots = outcome.synthesis.config.ops.len(),
-        iters = outcome.iterations,
-        members = member_bodies.join(",\n"),
-    ))
+    w.end_arr();
+    Ok(w.finish() + "\n")
 }
 
 /// Version of the `powerfits-serve-v1` response contract reported by
@@ -1029,29 +982,23 @@ pub const SCHEMA_VERSION: u64 = 3;
 /// started; `commit` is the build's git revision (or `"unknown"`).
 #[must_use]
 pub fn healthz_body(uptime_s: u64, commit: &str) -> String {
-    let presets: Vec<String> = PRESET_NAMES
-        .iter()
-        .map(|p| format!("\"{}\"", escape(p)))
-        .collect();
-    format!(
-        "{{\n  \"schema\": \"{SCHEMA}\",\n  \"endpoint\": \"healthz\",\n  \
-         \"status\": \"ok\",\n  \"schema_version\": {SCHEMA_VERSION},\n  \
-         \"uptime_s\": {uptime_s},\n  \"commit\": \"{}\",\n  \
-         \"kernels\": {},\n  \"presets\": [{}]\n}}\n",
-        escape(commit),
-        Kernel::ALL.len(),
-        presets.join(", "),
-    )
+    let mut w = body("healthz");
+    w.field_str("status", "ok");
+    w.field_u64("schema_version", SCHEMA_VERSION);
+    w.field_u64("uptime_s", uptime_s);
+    w.field_str("commit", commit);
+    w.field_u64("kernels", Kernel::ALL.len() as u64);
+    w.key("presets");
+    w.begin_arr();
+    PRESET_NAMES.iter().for_each(|p| w.str(p));
+    w.end_arr();
+    w.finish() + "\n"
 }
 
 /// The 500 body for a pipeline failure.
 #[must_use]
 pub fn internal_error_body(err: &ExperimentError) -> String {
-    format!(
-        "{{\n  \"schema\": \"{SCHEMA}\",\n  \"endpoint\": \"error\",\n  \"error\": {{\
-         \"code\": \"internal\", \"pointer\": \"\", \"message\": \"{}\"}}\n}}\n",
-        escape(&err.to_string()),
-    )
+    error_body("internal", "", &err.to_string())
 }
 
 // ---------------------------------------------------------------- validation
@@ -1233,6 +1180,7 @@ pub type SharedArtifacts = Arc<fits_bench::ArtifactsPool>;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fits_obs::json::escape;
 
     fn post(target: &str, body: &str) -> PostRequest {
         PostRequest::from_target(target, body).unwrap().unwrap()
@@ -1836,9 +1784,10 @@ mod tests {
         let scenario = ScenarioSpec::sa1100();
         for m in &outcome.members {
             let run = price_shared_member(&m.translation.fits, &scenario).unwrap();
-            let shared = fits_bench::IsaAggregate::from_run(&run);
+            let mut shared = Writer::new(Spacing::Spaced);
+            write_isa(&mut shared, &IsaAggregate::from_run(&run));
             assert!(
-                body.contains(&format!("\"shared\": {}", isa_json(&shared))),
+                body.contains(&format!("\"shared\": {}", shared.finish())),
                 "service body drifted from library pricing for {}",
                 m.name
             );

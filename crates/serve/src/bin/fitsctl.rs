@@ -130,6 +130,11 @@ fn checked(addr: SocketAddr, method: &str, target: &str, body: &str) -> String {
     text
 }
 
+/// Whether the JSON `body` holds `want` at the member path `path`.
+fn field_is(body: &str, path: &[&str], want: &Value) -> bool {
+    parse(body).is_ok_and(|doc| path.iter().try_fold(&doc, |v, key| v.get(key)) == Some(want))
+}
+
 fn cmd_wait(addr: SocketAddr, rest: &[String]) {
     let mut timeout = Duration::from_secs(120);
     let mut args = rest.iter();
@@ -374,7 +379,7 @@ fn cmd_smoke(addr: SocketAddr) {
         "/analyze",
         "{\"kernel\": \"crc32\", \"static_only\": true}",
     );
-    if !analyzed.contains("\"sound\": true") {
+    if !field_is(&analyzed, &["sound"], &Value::Bool(true)) {
         fail("smoke", &"/analyze reported unsound cache bounds");
     }
     checked(
@@ -392,7 +397,7 @@ fn cmd_smoke(addr: SocketAddr) {
         "/synthesize-multi",
         "{\"kernels\": [\"crc32\", \"sha\"]}",
     );
-    if !multi.contains("\"accepted\": true") {
+    if !field_is(&multi, &["accepted"], &Value::Bool(true)) {
         fail("smoke", &"/synthesize-multi did not accept the pair");
     }
     let respelled = checked(
@@ -414,7 +419,7 @@ fn cmd_smoke(addr: SocketAddr) {
         "{\"kernels\": [\"crc32\", \"sha\"], \"weights\": [0, 0]}",
     ) {
         Ok((400, text)) => {
-            if !text.contains("\"pointer\": \"/weights\"") {
+            if !field_is(&text, &["error", "pointer"], &Value::Str("/weights".into())) {
                 fail("smoke", &"all-zero weights 400 lacks a /weights pointer");
             }
         }
@@ -441,7 +446,7 @@ fn cmd_smoke(addr: SocketAddr) {
     // 400 `parse`, a 256 KiB string value gets a structured answer within
     // the client timeout, and the daemon stays healthy after both.
     match post(addr, "/synthesize", &"[".repeat(64 * 1024)) {
-        Ok((400, text)) if text.contains("\"code\": \"parse\"") => {
+        Ok((400, text)) if field_is(&text, &["error", "code"], &Value::Str("parse".into())) => {
             if let Err(e) = validate_serve_json(&text) {
                 fail("smoke nested-body 400 schema", &e);
             }

@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use fits_obs::json::Writer;
+use fits_obs::json::{Spacing, Writer};
 use fits_obs::{Counter, GaugeSeries, LatencyHistogram, SpanRegistry, WindowedHistogram};
 
 /// The `2xx`/`4xx`/`5xx` label a status code falls into (sheds never get
@@ -129,7 +129,7 @@ impl ServeMetrics {
     /// The `/metrics` JSON body.
     #[must_use]
     pub fn render_json(&self, ctx: &MetricsContext) -> String {
-        let mut w = Writer::new();
+        let mut w = Writer::new(Spacing::Spaced);
         w.begin_obj();
         w.field_str("schema", "powerfits-serve-v1");
         w.field_str("endpoint", "metrics");

@@ -56,8 +56,9 @@
 //! [`analyze`] runs everything and returns a [`Report`];
 //! [`verified_flow`] returns a [`FitsFlow`] that runs the same analyses as a
 //! gate inside [`FitsFlow::run`], and the `fitslint` binary (in
-//! `fits-bench`, which owns the kernel/scenario plumbing) drives them over
-//! the kernel suite with rustc-style diagnostics or machine-readable JSON.
+//! `fits-bench`, which owns the kernel/scenario plumbing and the JSON
+//! rendering) drives them over the kernel suite with rustc-style
+//! diagnostics or machine-readable JSON.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -97,7 +98,10 @@ pub enum Severity {
 }
 
 impl Severity {
-    fn as_str(self) -> &'static str {
+    /// Stable lowercase name (`"warning"`, `"error"`), as `fitslint`
+    /// reports it.
+    #[must_use]
+    pub fn as_str(self) -> &'static str {
         match self {
             Severity::Warning => "warning",
             Severity::Error => "error",
@@ -235,64 +239,6 @@ impl Report {
         );
         out
     }
-
-    /// Renders the findings as a JSON object (machine-readable `fitslint`
-    /// output).
-    #[must_use]
-    pub fn render_json(&self) -> String {
-        use fmt::Write as _;
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"name\":{},\"clean\":{},\"diagnostics\":[",
-            json_string(&self.name),
-            self.is_clean()
-        );
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"severity\":{},\"code\":{},\"message\":{},\"fits_index\":{},\"arm_index\":{}}}",
-                json_string(d.severity.as_str()),
-                json_string(d.code),
-                json_string(&d.message),
-                json_opt(d.fits_index),
-                json_opt(d.arm_index),
-            );
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-/// Escapes a string into a JSON string literal. `fits_obs::json::escape`
-/// is the workspace's escaper; this crate sits below fits-obs, so it keeps
-/// a private copy for [`Report::render_json`].
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_opt(v: Option<usize>) -> String {
-    v.map_or_else(|| "null".to_string(), |n| n.to_string())
 }
 
 /// Shared pre-decoded view of the triple under analysis.

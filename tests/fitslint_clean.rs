@@ -5,6 +5,7 @@
 
 #![allow(clippy::unwrap_used)]
 
+use powerfits::bench::lint::lint_json;
 use powerfits::kernels::kernels::{Kernel, Scale};
 use powerfits::verify::lint_kernel;
 
@@ -27,8 +28,9 @@ fn every_kernel_lints_clean() {
 #[test]
 fn reports_render_machine_readable_json() {
     let report = lint_kernel(Kernel::Crc32, Scale::test()).unwrap();
-    let json = report.render_json();
-    assert!(json.starts_with("{\"name\":\"crc32\""));
-    assert!(json.contains("\"clean\":true"));
-    assert!(json.ends_with("]}"));
+    let json = lint_json("kernels", &[("crc32".to_string(), Ok(report))]);
+    assert_eq!(
+        json,
+        "{\"kernels\":[{\"name\":\"crc32\",\"clean\":true,\"diagnostics\":[]}],\"clean\":true}\n"
+    );
 }
