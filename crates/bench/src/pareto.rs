@@ -607,9 +607,11 @@ mod tests {
         for r in &results.rejected {
             assert!(r.reason.contains("degrades beyond epsilon"), "{}", r.reason);
         }
-        // The archive still validates: an all-rejected grid is a
-        // legitimate (if alarming) record.
+        // An all-rejected grid still renders (its empty point list as
+        // `[]`), but an empty frontier must not validate, so `fitspareto`
+        // refuses to archive it.
         let json = pareto_json(&results);
+        assert!(json.contains("\n  \"points\": [],\n"), "{json}");
         assert!(
             validate_pareto_json(&json).is_err(),
             "empty frontier must not validate"
