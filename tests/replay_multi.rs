@@ -9,7 +9,11 @@
 //! fetch-dedup reset, a load-use stall across blocks, the terminator's
 //! outcome, carried multiply penalties) and each run that must fall back
 //! to the per-op walk (a skipped op in mid-block, a mid-block entry), on
-//! every `SimResult` field and every cache event, for both ISAs.
+//! every `SimResult` field and every cache event, for both ISAs. The last
+//! four pin what folding a warm block's I-cache hits at once must keep:
+//! fetch runs that straddle a peak window, a D-cache miss inside a warm
+//! block, entry penalties with a carried load-use stall, and one pass
+//! mixing a never-evicting lane with an evicting one.
 
 #![allow(clippy::unwrap_used)]
 
@@ -521,15 +525,26 @@ fn boundary_configs() -> Vec<Sa1100Config> {
     vec![Sa1100Config::icache_16k(), Sa1100Config::icache_8k(), odd]
 }
 
-/// Prices `set` single-lane (observed) and multi-lane, and holds every
-/// `SimResult` field and every cache event to the interpreted reference.
+/// Prices `set` single-lane (observed) and multi-lane over
+/// [`boundary_configs`], and holds every `SimResult` field and every cache
+/// event to the interpreted reference.
 fn assert_prices_like_the_reference<S: InstrSet + Clone>(set: &S, label: &str) {
-    let cfgs = boundary_configs();
+    assert_prices_like_the_reference_on(set, label, &boundary_configs());
+}
+
+/// [`assert_prices_like_the_reference`] over the configurations `cfgs`,
+/// which one `price_all` prices together; each one is also priced alone,
+/// with and without an observer.
+fn assert_prices_like_the_reference_on<S: InstrSet + Clone>(
+    set: &S,
+    label: &str,
+    cfgs: &[Sa1100Config],
+) {
     let compiled = CompiledProgram::compile(set).expect("compiles to blocks");
     let trace = Machine::new(set.clone())
         .run_recorded(&compiled)
         .expect("recorded run");
-    let multi = trace.price_all(&compiled, &cfgs).expect("price all");
+    let multi = trace.price_all(&compiled, cfgs).expect("price all");
     for (i, (cfg, multi_sim)) in cfgs.iter().zip(&multi).enumerate() {
         let mut model = TimingModel::new(cfg).expect("valid geometry");
         let mut want = CacheEvents::default();
@@ -548,6 +563,11 @@ fn assert_prices_like_the_reference<S: InstrSet + Clone>(set: &S, label: &str) {
         assert_eq!(
             *multi_sim, reference,
             "{label}: multi lane diverged at config {i}"
+        );
+        assert_eq!(
+            trace.price(&compiled, cfg).expect("price"),
+            reference,
+            "{label}: unobserved single lane diverged at config {i}"
         );
         assert_eq!(got, want, "{label}: cache events diverged at config {i}");
     }
@@ -781,4 +801,111 @@ fn multiplies_between_cache_events_price_like_the_reference() {
             EXIT,
         ]
     });
+}
+
+/// A warm loop body with no memory access is one run of fetches. Its
+/// forty runs of about five cycles each start at every phase of a
+/// 64-cycle peak window, so some runs straddle a window boundary and
+/// their accesses and toggles must be split between the two windows.
+#[test]
+fn warm_fetches_straddling_a_peak_window_price_like_the_reference() {
+    assert_both_isas_price_like_the_reference("straddling fetches", |_| {
+        vec![
+            Instr::mov(Reg::R0, imm(40)),
+            add(Reg::R1, Reg::R1, 1), // loop
+            add(Reg::R2, Reg::R2, 2),
+            add(Reg::R3, Reg::R3, 3),
+            add(Reg::R4, Reg::R4, 4),
+            add(Reg::R5, Reg::R5, 5),
+            add(Reg::R6, Reg::R6, 6),
+            dec(Reg::R0),
+            Instr::b(-9).with_cond(Cond::Ne),
+            Instr::mov(Reg::R0, Operand2::reg(Reg::R1)),
+            EXIT,
+        ]
+    });
+}
+
+/// Each iteration loads from a fresh D-cache line, so a miss inside the
+/// warm loop body stalls it and pushes the fetches after the load later,
+/// often into the next peak window.
+#[test]
+fn a_dcache_miss_inside_a_warm_block_prices_like_the_reference() {
+    assert_both_isas_price_like_the_reference("D-miss in a warm block", |_| {
+        vec![
+            Instr::mov(Reg::R0, imm(12)),
+            Instr::mov(Reg::R3, imm(DATA_BASE)),
+            add(Reg::R1, Reg::R1, 1), // loop
+            Instr::mem(MemOp::Ldr, Reg::R5, Reg::R3, 0),
+            add(Reg::R3, Reg::R3, 32),
+            add(Reg::R2, Reg::R2, 2),
+            add(Reg::R4, Reg::R4, 4),
+            dec(Reg::R0),
+            Instr::b(-8).with_cond(Cond::Ne),
+            Instr::mov(Reg::R0, Operand2::reg(Reg::R1)),
+            EXIT,
+        ]
+    });
+}
+
+/// The outer loop leaves a load pending when it falls into the inner
+/// loop. The inner loop's `mul` pairs with that load, so the multiply's
+/// penalty is pending when the inner template starts, and the template's
+/// first group, which reads the loaded register, stalls. The inner loop
+/// is entered this way four times, so three of those runs are warm.
+#[test]
+fn entry_deltas_and_a_carried_stall_on_a_warm_block_price_like_the_reference() {
+    assert_both_isas_price_like_the_reference("entry deltas and stall", |_| {
+        vec![
+            Instr::mov(Reg::R0, imm(4)),
+            Instr::mov(Reg::R1, imm(2)), // outer
+            Instr::mov(Reg::R4, imm(DATA_BASE)),
+            Instr::mem(MemOp::Ldr, Reg::R5, Reg::R4, 0), // pending at the fall-through
+            Instr::mul(Reg::R6, Reg::R0, Reg::R0),       // inner: pairs with the load
+            add(Reg::R7, Reg::R5, 1),                    // uses the load
+            add(Reg::R2, Reg::R2, 1),
+            dec(Reg::R1),
+            Instr::b(-6).with_cond(Cond::Ne),
+            dec(Reg::R0),
+            Instr::b(-11).with_cond(Cond::Ne),
+            Instr::mov(Reg::R0, Operand2::reg(Reg::R7)),
+            EXIT,
+        ]
+    });
+}
+
+/// One `price_all` over a 16 KB I-cache that holds the whole loop and a
+/// 128-byte LRU I-cache that the loop overflows, so one lane never evicts
+/// and the other evicts on every iteration.
+#[test]
+fn one_pass_mixing_a_never_evicting_and_an_evicting_lane_prices_like_the_reference() {
+    let small = Sa1100Config {
+        icache: CacheConfig {
+            name: "small-i".into(),
+            size_bytes: 128,
+            ways: 2,
+            line_bytes: 32,
+            replacement: Replacement::Lru,
+        },
+        ..Sa1100Config::icache_16k()
+    };
+    let cfgs = [Sa1100Config::icache_16k(), small];
+    let build = |op_size: u32| {
+        // 160 bytes of loop body: more than the small cache holds.
+        let body = (0..160 / op_size).map(|i| add(Reg::R1, Reg::R1, i % 7 + 1));
+        let mut text = vec![Instr::mov(Reg::R0, imm(6))];
+        text.extend(body);
+        text.push(dec(Reg::R0));
+        let back = -(160 / op_size as i32) - 3;
+        text.push(Instr::b(back).with_cond(Cond::Ne));
+        text.extend([Instr::mov(Reg::R0, Operand2::reg(Reg::R1)), EXIT]);
+        text
+    };
+    let program = Program {
+        text: build(4),
+        ..Program::default()
+    };
+    assert_prices_like_the_reference_on(&Ar32Set::load(&program), "mixed lanes (AR32)", &cfgs);
+    let ops = build(2).into_iter().map(FitsOp::Plain).collect();
+    assert_prices_like_the_reference_on(&FitsOps::new(ops), "mixed lanes (FITS)", &cfgs);
 }
