@@ -408,6 +408,18 @@ impl Cache {
         self.access_search(line_addr, write)
     }
 
+    /// Counts `accesses` hits with `toggles` output-port toggles between
+    /// them, all at cycles in the peak window of `cycle` — exactly what
+    /// that many [`Cache::access_toggles`] calls on resident lines count.
+    /// A hit also refreshes its line's LRU tick, which only victim
+    /// selection reads, so this is exact on a cache that never evicts.
+    #[inline]
+    pub(crate) fn count_hits(&mut self, cycle: u64, accesses: u64, toggles: u64) {
+        self.roll_window(cycle);
+        self.stats.accesses += accesses;
+        self.stats.output_toggles += toggles;
+    }
+
     /// The associative-search and miss half of [`Cache::access`]; counter
     /// updates are identical to the pre-split single function. Kept out of
     /// line so the inlined fast path stays register-allocatable.

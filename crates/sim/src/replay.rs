@@ -53,12 +53,35 @@
 //! [`BlockTemplate`]: its events with base-cycle offsets, fetch addresses
 //! and toggles, D-cache access slots and penalty deltas, plus its totals
 //! and exit state, from both entry states its first op can leave. A run of
-//! the block replays the first op through the per-op path, then copies
-//! the template's events, patched for the carried load-use stall, the
-//! re-fetch after a deferred dedup reset, the memory stream and the
-//! terminator's recorded outcome ([`Replay::run_block`]). Runs that start
-//! mid-block or skip an op before the terminator take the per-op path,
-//! which is also the code the templates are generated from.
+//! the block replays the first op through the per-op path (its fetch, and
+//! the re-fetch after a deferred dedup reset, stay single events), then
+//! buffers one **block-run record** in place of the template's events:
+//! the template's id, the base-cycle snapshot, the penalty deltas pending
+//! at entry, the carried load-use stall bit and the index of the block's
+//! first memory access ([`Replay::run_block`]). The recorder flags runs
+//! that skipped an op before their terminator, so finding a run's template
+//! is O(1). Runs that start mid-block or skip an op before the terminator
+//! take the per-op path, which is also the code the templates are
+//! generated from.
+//!
+//! Each lane expands a record itself, in the template's event order: the
+//! entry deltas first, the stall on every event from the template's first
+//! issue on, and each D-cache access from the memory stream, its toggles
+//! taken by the lane's D-cache (the toggle sequence is an XOR chain over
+//! the data words). **Warm rule:** on a lane whose I-cache never evicts
+//! ([`CompiledProgram::icache_never_evicts`], decided once per lane), once
+//! a template has run every line it fetches is resident, so every later
+//! run of it hits on every fetch. With the no-op observer
+//! ([`CacheEventObserver::OBSERVES`]), such a warm run does its D-cache
+//! accesses in order and then counts its fetches without a lookup
+//! ([`Lane::fold_block`]): a fetch's cycle is the lane clock at entry plus
+//! its base offset, the template's multiplies before it priced at the
+//! lane's penalty, and the stalls of the D misses before it. **Window
+//! split:** fetch cycles never decrease, so the fetches are cut at each
+//! [`crate::PEAK_WINDOW_CYCLES`] boundary they cross (found by binary
+//! search) and each piece adds its count and toggle sum at once. Cold
+//! runs, evicting lanes and real observers expand the record event by
+//! event.
 //!
 //! The differential tests (`tests/replay_multi.rs`, `tests/prop_replay.rs`
 //! and the `fits-obs` suite) hold single- and multi-lane pricing
@@ -68,7 +91,7 @@
 
 use fits_isa::{InstrClass, Reg};
 
-use crate::cache::validate_config;
+use crate::cache::{validate_config, PEAK_WINDOW_CYCLES};
 use crate::lower::{
     LoweredOp, OpControl, Recorder, F_BACKWARD, F_BRANCH, F_EXECUTED, F_MEM, F_MEM_LOAD, F_TAKEN,
 };
@@ -460,6 +483,9 @@ pub struct TraceEntry {
     pub start: u32,
     /// Retired op count.
     pub len: u32,
+    /// Whether an op before the run's last one failed its condition (the
+    /// last op's outcome is its byte in the trace).
+    pub body_skipped: bool,
 }
 
 /// A recorded functional execution: the compact block-ID + dynamic-outcome
@@ -569,7 +595,7 @@ impl RecordedTrace {
         if replayed.is_empty() {
             return Ok(Vec::new());
         }
-        let (sims, _) = self.replay(compiled, &replayed, &mut ())?;
+        let (sims, ..) = self.replay(compiled, &replayed, &mut ())?;
         // Representatives precede their members, so a member copies a
         // result already in place.
         let mut fresh = sims.into_iter();
@@ -613,7 +639,7 @@ impl RecordedTrace {
         obs: &mut O,
     ) -> Result<SimResult, SimError> {
         self.check_compiled(compiled)?;
-        let (mut sims, _) = self.replay(compiled, &[cfg], obs)?;
+        let (mut sims, ..) = self.replay(compiled, &[cfg], obs)?;
         Ok(sims.pop().expect("one lane per configuration"))
     }
 
@@ -628,38 +654,42 @@ impl RecordedTrace {
     }
 
     /// The one pricing pass behind every `price*` call: the pipeline fills
-    /// a bounded buffer of cache events (so memory stays constant no matter
-    /// how long the trace is), and each full buffer is drained by every
-    /// lane in a tight, branch-light loop that also reports each access to
+    /// a bounded buffer of events (so memory stays constant no matter how
+    /// long the trace is), and each full buffer is drained by every lane
+    /// in a tight, branch-light loop that also reports each access to
     /// `obs`. A trace entry that runs a whole block with its ops' executed
-    /// outcomes is priced from the block's [`BlockTemplate`]; every other
-    /// entry walks the pipeline op by op. Also returns the number of
-    /// retired ops priced from templates.
+    /// outcomes is priced from the block's [`BlockTemplate`] and buffered
+    /// as one block-run record, which each lane expands itself; every
+    /// other entry walks the pipeline op by op. Also returns the number of
+    /// retired ops priced from templates and the number of I-cache hits
+    /// counted without a lookup ([`Lane::fold_block`]), summed over lanes.
     fn replay<O: CacheEventObserver>(
         &self,
         compiled: &CompiledProgram,
         cfgs: &[&Sa1100Config],
         obs: &mut O,
-    ) -> Result<(Vec<SimResult>, u64), SimError> {
+    ) -> Result<(Vec<SimResult>, u64, u64), SimError> {
         /// Events per chunk: small enough (16 B each) to stay
         /// cache-resident, large enough to amortize the loop switches.
         const CHUNK_EVENTS: usize = 1 << 12;
 
         let mut lanes = cfgs
             .iter()
-            .map(|cfg| Lane::new(cfg))
+            .map(|cfg| Lane::new(cfg, compiled))
             .collect::<Result<Vec<_>, _>>()?;
         let steps = compiled.templates();
         let mut blocks = BlockTemplates::new(compiled);
+        // A block-run record holds its first access's index in 32 bits.
+        let records_fit = u32::try_from(self.mem.len()).is_ok();
         let mut replay = Replay::new(Vec::with_capacity(CHUNK_EVENTS + 64));
         let (mut flag, mut mem, mut templated) = (0, 0, 0);
         for entry in &self.entries {
             let start = entry.start as usize;
             let bytes = &self.flags[flag..flag + entry.len as usize];
             flag += bytes.len();
-            match blocks.lookup(start, bytes) {
-                Some(block) => {
-                    replay.run_block(block, &steps[start..], bytes, &self.mem, &mut mem);
+            match blocks.lookup(entry, bytes).filter(|_| records_fit) {
+                Some((index, block)) => {
+                    replay.run_block(index, block, &steps[start..], bytes, &self.mem, &mut mem);
                     templated += bytes.len() as u64;
                 }
                 None => {
@@ -670,24 +700,25 @@ impl RecordedTrace {
             }
             if replay.sink.buf.len() >= CHUNK_EVENTS {
                 for lane in &mut lanes {
-                    lane.apply(&replay.sink.buf, obs);
+                    lane.apply(&replay.sink.buf, &blocks.built, &self.mem, obs);
                 }
                 replay.sink.buf.clear();
             }
         }
         replay.flush_pending();
         for lane in &mut lanes {
-            lane.apply(&replay.sink.buf, obs);
+            lane.apply(&replay.sink.buf, &blocks.built, &self.mem, obs);
             // Penalty events after the final cache access never rode a
             // packed delta; fold them into every lane's clock now.
             lane.apply_deltas(replay.sink.deltas);
         }
         let shared = replay.shared;
+        let folded = lanes.iter().map(|lane| lane.folded).sum();
         let sims = lanes
             .into_iter()
             .map(|lane| lane.into_result(&shared, &self.statics))
             .collect();
-        Ok((sims, templated))
+        Ok((sims, templated, folded))
     }
 }
 
@@ -793,6 +824,7 @@ impl Recorder for TraceRecorder<'_> {
         self.entries.push(TraceEntry {
             start,
             len: end - start,
+            body_skipped: false,
         });
         self.block_start = start as usize;
         self.block_base = self.flags.len();
@@ -804,6 +836,13 @@ impl Recorder for TraceRecorder<'_> {
         let at = self.block_base + (index - self.block_start);
         self.flags[at] = self.compiled.lowered[index].skip_byte();
         self.skips[index] += 1;
+        // A run's bytes are all copied when it starts, so the op is its
+        // run's last exactly when its byte is the last one so far.
+        if at + 1 < self.flags.len() {
+            if let Some(entry) = self.entries.last_mut() {
+                entry.body_skipped = true;
+            }
+        }
     }
 
     #[inline(always)]
@@ -871,8 +910,7 @@ impl<'a> RetiredOp<'a> {
 /// replay. Everything configuration-dependent lives here; everything else
 /// is shared across lanes in [`SharedCounters`].
 struct Lane {
-    /// `[icache, dcache]`, selected by the event's cache-select bit —
-    /// array indexing instead of a per-event branch over cache kind.
+    /// `[icache, dcache]`, selected by the event's cache-select bit.
     caches: [Cache; 2],
     /// Cycles lost to misses so far per cache (== misses × penalty).
     stalls: [u64; 2],
@@ -887,14 +925,47 @@ struct Lane {
     /// `[mul_extra, taken_penalty, mispredict_penalty]`, indexed in the
     /// order of the packed delta fields.
     event_penalty: [u64; 3],
+    /// Per issue template id: whether a run of it has been priced on this
+    /// lane, so every line it fetches is resident. Empty when the I-cache
+    /// can evict ([`CompiledProgram::icache_never_evicts`]): only a cache
+    /// that never evicts keeps a line once fetched.
+    warm: Vec<bool>,
+    /// Warm I-cache hits counted without a lookup.
+    folded: u64,
+    /// Scratch of [`Lane::fold_block`]: which of a block run's D-cache
+    /// accesses missed, by index.
+    dmisses: Vec<u32>,
+}
+
+/// Where a block-run record's events land: its base-cycle snapshot, its
+/// carried load-use stall, and the memory stream from its first access.
+struct BlockRun<'m> {
+    base: u64,
+    stall: u64,
+    accesses: &'m [(u32, u32)],
+}
+
+impl BlockRun<'_> {
+    /// The base cycle of a template event whose packed word is `packed`:
+    /// the carried stall delays every event from the first issue on.
+    #[inline(always)]
+    fn base(&self, packed: u64) -> u64 {
+        let offset = packed & BASE_MASK;
+        self.base + offset + (self.stall & u64::from(offset != 0))
+    }
 }
 
 impl Lane {
     /// A fresh lane for one configuration, validating both cache
     /// geometries.
-    fn new(cfg: &Sa1100Config) -> Result<Lane, SimError> {
+    fn new(cfg: &Sa1100Config, compiled: &CompiledProgram) -> Result<Lane, SimError> {
         validate_config(&cfg.icache)?;
         validate_config(&cfg.dcache)?;
+        let templates = if compiled.icache_never_evicts(&cfg.icache) {
+            2 * compiled.blocks.len()
+        } else {
+            0
+        };
         Ok(Lane {
             caches: [
                 Cache::new(cfg.icache.clone()),
@@ -908,6 +979,9 @@ impl Lane {
                 cfg.taken_branch_penalty,
                 cfg.mispredict_penalty,
             ],
+            warm: vec![false; templates],
+            folded: 0,
+            dmisses: Vec::new(),
         })
     }
 
@@ -923,32 +997,156 @@ impl Lane {
     }
 
     /// Drains one buffered event chunk — the per-lane hot loop. Every
-    /// event is a cache access (penalty outcomes ride along as packed
-    /// deltas, applied *before* the access — exactly when a per-step model
-    /// bumps its clock), so the loop body is branch-free up to the cache's
-    /// own hit/miss handling. Each access is reported to `obs`; for the
-    /// no-op `()` observer the report compiles away.
+    /// event is a cache access or a block-run record (penalty outcomes
+    /// ride along as packed deltas, applied *before* the event — exactly
+    /// when a per-step model bumps its clock), and each access is reported
+    /// to `obs`; for the no-op `()` observer the report compiles away.
+    /// `templates` and `mem` are what the records index.
     #[inline]
-    fn apply<O: CacheEventObserver>(&mut self, events: &[ReplayEvent], obs: &mut O) {
+    fn apply<O: CacheEventObserver>(
+        &mut self,
+        events: &[ReplayEvent],
+        templates: &[BlockTemplate],
+        mem: &[(u32, u32)],
+        obs: &mut O,
+    ) {
         for ev in events {
             let p = ev.packed;
-            // Penalty deltas are zero on the vast majority of events
+            // Penalty deltas are zero on the vast majority of accesses
             // (only branches and multiplies produce them), so one
             // well-predicted branch beats three unconditional multiplies.
             if p >> D_MUL != 0 {
+                if p >> K_BLOCK != 0 {
+                    self.block_run(ev, templates, mem, obs);
+                    continue;
+                }
                 self.apply_deltas(p);
             }
-            let which = ((p >> K_DCACHE) & 1) as usize;
-            let write = (p >> K_WRITE) & 1 != 0;
-            let cycle = self.cycle_at(p & BASE_MASK);
-            let hit =
-                self.caches[which].access_toggles(ev.addr, write, u64::from(ev.toggles), cycle);
-            self.stalls[which] += self.miss_penalty[which] * u64::from(!hit);
-            if which == 0 {
-                obs.icache_access(ev.addr, hit);
-            } else {
-                obs.dcache_access(ev.addr, write, hit);
+            self.access(ev.addr, p, ev.word, self.cycle_at(p & BASE_MASK), obs);
+        }
+    }
+
+    /// One cache access at `cycle`, of the cache and kind that `packed`
+    /// selects. `word` is the I-fetch's toggle count or the D access's
+    /// data word.
+    #[inline(always)]
+    fn access<O: CacheEventObserver>(
+        &mut self,
+        addr: u32,
+        packed: u64,
+        word: u32,
+        cycle: u64,
+        obs: &mut O,
+    ) {
+        if (packed >> K_DCACHE) & 1 == 0 {
+            let hit = self.caches[0].access_toggles(addr, false, u64::from(word), cycle);
+            self.stalls[0] += self.miss_penalty[0] * u64::from(!hit);
+            obs.icache_access(addr, hit);
+        } else {
+            let write = (packed >> K_WRITE) & 1 != 0;
+            let hit = self.caches[1].access(addr, write, word, cycle);
+            self.stalls[1] += self.miss_penalty[1] * u64::from(!hit);
+            obs.dcache_access(addr, write, hit);
+        }
+    }
+
+    /// Expands one block-run record in its template's event order: the
+    /// entry deltas first, the carried load-use stall on every event from
+    /// the template's first issue on, and each D-cache access from the
+    /// memory stream. Once the template has run on a lane whose I-cache
+    /// never evicts, every line it fetches is resident, so later runs
+    /// count its fetches as hits without a lookup ([`Lane::fold_block`])
+    /// — unless an observer must see every access.
+    fn block_run<O: CacheEventObserver>(
+        &mut self,
+        record: &ReplayEvent,
+        templates: &[BlockTemplate],
+        mem: &[(u32, u32)],
+        obs: &mut O,
+    ) {
+        let p = record.packed;
+        self.apply_deltas(p);
+        let id = record.addr as usize;
+        let tpl = &templates[id / 2].entry[id % 2];
+        let at = BlockRun {
+            base: p & BASE_MASK,
+            stall: (p >> K_STALL) & 1,
+            accesses: &mem[record.word as usize..],
+        };
+        let warm = !O::OBSERVES && self.warm.get(id) == Some(&true);
+        if let Some(fold) = tpl.fold.as_ref().filter(|_| warm) {
+            self.fold_block(fold, &at);
+            return;
+        }
+        for ev in &tpl.events {
+            let q = ev.packed;
+            if q >> D_MUL != 0 {
+                self.apply_deltas(q);
             }
+            let cycle = self.cycle_at(at.base(q));
+            if (q >> K_DCACHE) & 1 == 0 {
+                self.access(ev.addr, q, ev.word, cycle, obs);
+            } else {
+                let (addr, data) = at.accesses[ev.addr as usize];
+                self.access(addr, q, data, cycle, obs);
+            }
+        }
+        if let Some(warm) = self.warm.get_mut(id) {
+            *warm = true;
+        }
+    }
+
+    /// Prices a warm run of a template on a lane whose I-cache never
+    /// evicts. The D-cache accesses go first, in order, noting the D-stall
+    /// total before each: the I-cache only counts hits here, which
+    /// neither stall nor touch the D-cache, so a fetch's cycle is the
+    /// lane clock at entry plus its offset, the multiplies before it
+    /// priced at this lane's `mul_extra`, and the D stalls before it.
+    /// Fetch cycles never decrease, so the fetches split into one run per
+    /// peak window they land in (`Cache::roll_window`), found by binary
+    /// search, and each run's count and toggle sum are added at once.
+    fn fold_block(&mut self, fold: &Fold, at: &BlockRun<'_>) {
+        let mul = self.event_penalty[0];
+        let clock = self.cycle_at(0);
+        self.dmisses.clear();
+        for (j, ev) in (0u32..).zip(&fold.data) {
+            let (addr, data) = at.accesses[ev.addr as usize];
+            let cycle = self.cycle_at(at.base(ev.packed)) + u64::from(ev.word) * mul;
+            let write = (ev.packed >> K_WRITE) & 1 != 0;
+            if !self.caches[1].access(addr, write, data, cycle) {
+                self.stalls[1] += self.miss_penalty[1];
+                self.dmisses.push(j);
+            }
+        }
+        self.event_cycles += fold.muls * mul;
+        let fetches = &fold.fetches[..];
+        let Some(last) = fetches.last() else {
+            return;
+        };
+        self.folded += fetches.len() as u64;
+        let (dmisses, dpenalty) = (&self.dmisses, self.miss_penalty[1]);
+        let cycle = |f: &FetchPoint| {
+            let missed = dmisses.partition_point(|&j| j < f.data_before) as u64;
+            clock + at.base(f.packed) + u64::from(f.muls) * mul + missed * dpenalty
+        };
+        let toggles_before = |k: usize| {
+            fetches
+                .get(k)
+                .map_or(fold.toggles, |f| u64::from(f.toggles_before))
+        };
+        let icache = &mut self.caches[0];
+        let mut k = 0;
+        while k < fetches.len() {
+            let start = cycle(&fetches[k]);
+            let window_end = (start / PEAK_WINDOW_CYCLES + 1) * PEAK_WINDOW_CYCLES;
+            let next = if cycle(last) < window_end {
+                fetches.len()
+            } else {
+                k + 1 + fetches[k + 1..].partition_point(|f| cycle(f) < window_end)
+            };
+            let count = (next - k) as u64;
+            icache.count_hits(start, count, toggles_before(next) - toggles_before(k));
+            k = next;
         }
     }
 
@@ -990,23 +1188,28 @@ impl Lane {
 }
 
 /// One lane-facing event emitted by the shared pipeline pass, packed into
-/// 16 bytes. The snapshot of [`SharedCounters::base_cycles`] at the access
-/// lets a lane reconstruct the exact interpreted cycle as
-/// `base + event_cycles + stalls` without seeing the pipeline at all.
+/// 16 bytes: a cache access, or the record of a block run priced from a
+/// template. The snapshot of [`SharedCounters::base_cycles`] lets a lane
+/// reconstruct the exact interpreted cycle as `base + event_cycles +
+/// stalls` without seeing the pipeline at all.
 #[derive(Clone, Copy, Debug)]
 struct ReplayEvent {
-    /// Accessed address. In a [`BlockTemplate`], a D-cache event holds
-    /// instead the index of its access among the block's accesses.
+    /// Accessed address. In an [`IssueTemplate`], a D-cache event holds
+    /// instead the index of its access among the block's accesses; in a
+    /// block-run record, the id of its issue template (block index × 2 +
+    /// entry state).
     addr: u32,
-    /// Output-port toggle count for this access. The toggle sequence is a
-    /// pure function of the access stream (XOR chain over the data words),
-    /// so the shared pipeline pass computes each delta once and every lane
-    /// just adds it — no per-lane popcount.
-    toggles: u32,
+    /// For an I-fetch, its output-port toggle count: the fetch stream is
+    /// configuration-independent, so the shared pass computes each toggle
+    /// once and every lane just adds it. For a D-cache access, the data
+    /// word (each lane's D-cache takes the toggle, one popcount). For a
+    /// block-run record, the index in the memory stream of the block's
+    /// first access.
+    word: u32,
     /// Bit-packed `base_cycles` snapshot (low 48 bits — a run would need
     /// a month of simulated 100 GHz time to overflow), cache-select and
-    /// write bits, and the three penalty-delta nibbles (see the `K_*` /
-    /// `D_*` constants).
+    /// write bits, the three penalty-delta nibbles, and a block-run
+    /// record's stall and record bits (see the `K_*` / `D_*` constants).
     packed: u64,
 }
 
@@ -1016,50 +1219,68 @@ const BASE_MASK: u64 = (1 << 48) - 1;
 const K_DCACHE: u32 = 48;
 /// Write bit (D-cache stores).
 const K_WRITE: u32 = 49;
-/// Executed multiplies since the previous cache event (4-bit delta).
+/// Executed multiplies since the previous event (4-bit delta).
 const D_MUL: u32 = 50;
-/// Correctly-predicted taken branches since the previous cache event.
+/// Correctly-predicted taken branches since the previous event.
 const D_TAKEN: u32 = 54;
-/// Mispredicted branches since the previous cache event.
+/// Mispredicted branches since the previous event.
 const D_MISPREDICT: u32 = 58;
+/// A block-run record's carried load-use stall: one cycle on every event
+/// from its template's first issue on.
+const K_STALL: u32 = 62;
+/// Marks a block-run record.
+const K_BLOCK: u32 = 63;
 /// Maximum value of one penalty-delta nibble. The pipeline can emit at
-/// most a handful of penalty events between consecutive cache accesses
-/// (every op is fetched, and an issue group holds at most one multiply
-/// and one branch), so 15 is unreachable in practice; the debug assert in
+/// most a handful of penalty events between consecutive events (every op
+/// is fetched, and an issue group holds at most one multiply and one
+/// branch), so 15 is unreachable in practice; the debug assert in
 /// [`EventBuffer::penalty`] guards the invariant.
 const D_MAX: u64 = 0xf;
 
 /// Where the pipeline pass delivers lane-facing events: each cache access
-/// (with its `base_cycles` snapshot) is buffered for lanes to drain later
-/// in tight per-lane loops. Penalty outcomes are not events of their own —
-/// they accumulate in `deltas` and ride the next cache event as packed
-/// deltas, so the lane loop sees a homogeneous, branch-free stream.
+/// (with its `base_cycles` snapshot) and each templated block run is
+/// buffered for lanes to drain later in tight per-lane loops. Penalty
+/// outcomes are not events of their own — they accumulate in `deltas` and
+/// ride the next event as packed deltas, so the lane loop sees a
+/// homogeneous, branch-light stream.
 struct EventBuffer {
     buf: Vec<ReplayEvent>,
-    /// Penalty events since the last cache event, packed into the `D_*`
-    /// nibbles exactly as they will ride the next event.
+    /// Penalty events since the last event, packed into the `D_*` nibbles
+    /// exactly as they will ride the next event.
     deltas: u64,
-    /// Last word seen on each cache's output port (`[icache, dcache]`) —
-    /// the pipeline-side mirror of `Cache::last_output`, used to compute
-    /// each access's toggle count once instead of per lane.
-    last_word: [u32; 2],
+    /// Last word seen on the I-cache's output port, used to compute each
+    /// fetch's toggle count once instead of per lane.
+    last_fetch_value: u32,
 }
 
 impl EventBuffer {
     #[inline(always)]
-    fn push(&mut self, addr: u32, data: u32, base: u64, dcache: bool, write: bool) {
+    fn push(&mut self, addr: u32, word: u32, base: u64, flags: u64) {
         debug_assert!(base <= BASE_MASK, "replay event field overflow");
-        let packed = base
-            | u64::from(dcache) << K_DCACHE
-            | u64::from(write) << K_WRITE
-            | std::mem::take(&mut self.deltas);
-        let toggles = (self.last_word[usize::from(dcache)] ^ data).count_ones();
-        self.last_word[usize::from(dcache)] = data;
         self.buf.push(ReplayEvent {
             addr,
-            toggles,
-            packed,
+            word,
+            packed: base | flags | std::mem::take(&mut self.deltas),
         });
+    }
+
+    /// Buffers the I-fetch of the word `value` at `addr`.
+    #[inline(always)]
+    fn fetch(&mut self, addr: u32, value: u32, base: u64) {
+        let toggles = (self.last_fetch_value ^ value).count_ones();
+        self.last_fetch_value = value;
+        self.push(addr, toggles, base, 0);
+    }
+
+    /// Buffers a D-cache access of `data` at `addr`.
+    #[inline(always)]
+    fn data(&mut self, addr: u32, data: u32, base: u64, write: bool) {
+        self.push(
+            addr,
+            data,
+            base,
+            1 << K_DCACHE | u64::from(write) << K_WRITE,
+        );
     }
 
     /// Counts one penalty event into the nibble at `shift`.
@@ -1112,7 +1333,7 @@ impl<'a> Replay<'a> {
             sink: EventBuffer {
                 buf,
                 deltas: 0,
-                last_word: [0; 2],
+                last_fetch_value: 0,
             },
             shared: SharedCounters::default(),
             pending: None,
@@ -1128,12 +1349,10 @@ impl<'a> Replay<'a> {
             return; // second half of the same 32-bit fetch (16-bit ISAs)
         }
         self.last_fetch_word = Some(template.fetch_word_addr);
-        self.sink.push(
+        self.sink.fetch(
             template.fetch_word_addr,
             template.fetch_word_value,
             self.shared.base_cycles,
-            false,
-            false,
         );
     }
 
@@ -1199,7 +1418,7 @@ impl<'a> Replay<'a> {
         }
         if let Some((addr, data, is_load)) = op.mem {
             self.sink
-                .push(addr, data, self.shared.base_cycles, true, !is_load);
+                .data(addr, data, self.shared.base_cycles, !is_load);
             if is_load {
                 self.load_dest_this_group = op.template.dest0_mask;
             }
@@ -1249,16 +1468,22 @@ impl<'a> Replay<'a> {
     }
 
     /// Prices one run of a whole block from its template, leaving the
-    /// pipeline exactly as `observe` over each op would: `steps` starts at
-    /// the block's first op, `bytes` are the run's outcome bytes, and
-    /// `next` indexes the block's first access in `mem` (advanced past the
+    /// pipeline exactly as `observe` over each op would: `block` is
+    /// `built[index]` of the [`BlockTemplates`], `steps` starts at the
+    /// block's first op, `bytes` are the run's outcome bytes, and `next`
+    /// indexes the block's first access in `mem` (advanced past the
     /// block's accesses).
     ///
     /// The first op goes through [`Replay::observe`], so it meets the
     /// carried pending op; the template of the resulting entry state then
-    /// stands for the rest, patched for what it cannot know statically.
+    /// stands for the rest. It is buffered as one block-run record — the
+    /// template's id, the base-cycle snapshot, the entry deltas, the
+    /// carried load-use stall and the block's first access — which each
+    /// lane expands itself ([`Lane::block_run`]), so the walk's cost does
+    /// not grow with the block.
     fn run_block(
         &mut self,
+        index: u32,
         block: &BlockTemplate,
         steps: &'a [StepTemplate],
         bytes: &[u8],
@@ -1267,7 +1492,8 @@ impl<'a> Replay<'a> {
     ) {
         let first_access = *next;
         self.observe(RetiredOp::decode(&steps[0], bytes[0], mem, next));
-        let tpl = &block.entry[usize::from(self.pending.is_none())];
+        let entry = usize::from(self.pending.is_none());
+        let tpl = &block.entry[entry];
         // A taken branch left pending resets fetch dedup only after this
         // block's first fetch, so a second op sharing that fetch word is
         // fetched again.
@@ -1278,32 +1504,21 @@ impl<'a> Replay<'a> {
         // A load issued by the previous group stalls the template's first
         // group, which delays every event from that issue on by a cycle.
         let stall = u64::from(self.last_group_load_dest & tpl.first_group_sources != 0);
-        let base = self.shared.base_cycles;
         let sink = &mut self.sink;
-        let at = sink.buf.len();
-        sink.buf.extend(tpl.events.iter().map(|ev| {
-            let after_issue = ev.packed & BASE_MASK != 0;
-            ReplayEvent {
-                packed: ev.packed + base + (stall & u64::from(after_issue)),
-                ..*ev
-            }
-        }));
-        // D-cache events take their access from the memory stream.
-        let accesses = &mem[first_access..];
-        for &i in tpl.dcache_events.iter() {
-            let ev = &mut sink.buf[at + i as usize];
-            let (addr, data) = accesses[ev.addr as usize];
-            ev.addr = addr;
-            ev.toggles = (sink.last_word[1] ^ data).count_ones();
-            sink.last_word[1] = data;
-        }
-        // Deltas pending at entry ride the template's first event.
-        if let Some(first) = sink.buf.get_mut(at) {
-            first.packed += std::mem::take(&mut sink.deltas);
+        if !tpl.events.is_empty() {
+            // Deltas pending at entry ride the record, ahead of the
+            // template's first event. The caller checked that every
+            // access index fits the record.
+            sink.push(
+                2 * index + entry as u32,
+                first_access as u32,
+                self.shared.base_cycles,
+                stall << K_STALL | 1 << K_BLOCK,
+            );
         }
         sink.deltas += tpl.trailing;
         let last = &steps[bytes.len() - 1];
-        sink.last_word[0] = last.fetch_word_value;
+        sink.last_fetch_value = last.fetch_word_value;
         self.shared.base_cycles += tpl.base_cycles + stall;
         self.shared.issue_groups += tpl.issue_groups;
         self.shared.dual_issues += tpl.dual_issues;
@@ -1336,8 +1551,9 @@ impl<'a> Replay<'a> {
 /// of their access among the block's accesses in place of an address.
 struct IssueTemplate {
     events: Box<[ReplayEvent]>,
-    /// Indices into `events` of the D-cache events.
-    dcache_events: Box<[u32]>,
+    /// How a warm run is priced on a lane whose I-cache never evicts, if
+    /// not event by event.
+    fold: Option<Fold>,
     /// Penalty deltas after the last event, packed as in
     /// [`EventBuffer::deltas`].
     trailing: u64,
@@ -1353,6 +1569,68 @@ struct IssueTemplate {
     /// Whether the terminator is still pending at exit (otherwise it was
     /// issued paired with the op before it).
     ends_pending: bool,
+}
+
+/// What a warm run of an [`IssueTemplate`] needs on a lane whose I-cache
+/// never evicts ([`Lane::fold_block`]): its D-cache events, in order, and
+/// its I-cache fetches as [`FetchPoint`]s. The only penalties inside a
+/// template are its multiplies (the terminator's branch outcome is applied
+/// by the run), kept as running counts for each lane to price at its own
+/// `mul_extra`.
+struct Fold {
+    /// The D-cache events, each with the multiplies up to and including
+    /// it in place of its (unused) word.
+    data: Box<[ReplayEvent]>,
+    fetches: Box<[FetchPoint]>,
+    /// Sum of the fetches' toggle counts.
+    toggles: u64,
+    /// Multiplies of the whole template.
+    muls: u64,
+}
+
+/// One I-cache fetch of a [`Fold`]: what its cycle on a lane depends on,
+/// and the toggles of the fetches before it.
+struct FetchPoint {
+    /// The fetch event's packed word (its base offset).
+    packed: u64,
+    /// Multiplies up to and including the fetch.
+    muls: u32,
+    /// D-cache events before the fetch.
+    data_before: u32,
+    /// Sum of the toggle counts of the fetches before it.
+    toggles_before: u32,
+}
+
+impl Fold {
+    /// The fold of a template with `events`, unless an event carries a
+    /// branch penalty, which no template issues.
+    fn of(events: &[ReplayEvent]) -> Option<Fold> {
+        let (mut data, mut fetches) = (Vec::new(), Vec::new());
+        let (mut muls, mut toggles) = (0, 0);
+        for ev in events {
+            if ev.packed >> D_TAKEN != 0 {
+                return None;
+            }
+            muls += (ev.packed >> D_MUL & D_MAX) as u32;
+            if (ev.packed >> K_DCACHE) & 1 != 0 {
+                data.push(ReplayEvent { word: muls, ..*ev });
+            } else {
+                fetches.push(FetchPoint {
+                    packed: ev.packed,
+                    muls,
+                    data_before: data.len() as u32,
+                    toggles_before: toggles,
+                });
+                toggles += ev.word;
+            }
+        }
+        Some(Fold {
+            data: data.into_boxed_slice(),
+            fetches: fetches.into_boxed_slice(),
+            toggles: u64::from(toggles),
+            muls: u64::from(muls),
+        })
+    }
 }
 
 /// The issue templates of one basic block.
@@ -1392,7 +1670,7 @@ impl BlockTemplate {
         let run = |first_pending: bool| {
             let mut replay = Replay::new(Vec::new());
             replay.last_fetch_word = Some(steps[0].fetch_word_addr);
-            replay.sink.last_word[0] = steps[0].fetch_word_value;
+            replay.sink.last_fetch_value = steps[0].fetch_word_value;
             replay.pending = first_pending.then_some(ops[0]);
             for &op in &ops[1..] {
                 replay.observe(op);
@@ -1406,9 +1684,7 @@ impl BlockTemplate {
             };
             let events = replay.sink.buf;
             IssueTemplate {
-                dcache_events: (0..events.len() as u32)
-                    .filter(|&i| (events[i as usize].packed >> K_DCACHE) & 1 != 0)
-                    .collect(),
+                fold: Fold::of(&events),
                 events: events.into_boxed_slice(),
                 trailing: replay.sink.deltas,
                 base_cycles: replay.shared.base_cycles,
@@ -1455,12 +1731,15 @@ impl<'c> BlockTemplates<'c> {
         }
     }
 
-    /// The template pricing a run of `bytes.len()` ops from op `start`, if
-    /// the run covers its whole block and every op but the terminator took
-    /// its executed outcome (the terminator too, unless any of its
-    /// outcomes is templated).
+    /// The template pricing the trace run `entry` whose outcome bytes are
+    /// `bytes`, with its index in `built`, if the run covers
+    /// its whole block and every op but the terminator took its executed
+    /// outcome (the terminator too, unless any of its outcomes is
+    /// templated). O(1): the recorder flagged the runs that skipped an op
+    /// before the terminator.
     #[inline]
-    fn lookup(&mut self, start: usize, bytes: &[u8]) -> Option<&BlockTemplate> {
+    fn lookup(&mut self, entry: &TraceEntry, bytes: &[u8]) -> Option<(u32, &BlockTemplate)> {
+        let start = entry.start as usize;
         let mut slot = self.slot[start];
         if slot == UNBUILT {
             let block = &self.compiled.blocks[self.compiled.block_of[start] as usize];
@@ -1474,12 +1753,11 @@ impl<'c> BlockTemplates<'c> {
             self.slot[start] = slot;
         }
         let block = self.built.get(slot as usize)?;
-        let n = bytes.len();
-        let exec = &self.compiled.exec_bytes[start..start + n];
-        (block.len == n
-            && bytes[..n - 1] == exec[..n - 1]
-            && (block.any_terminator || bytes[n - 1] == exec[n - 1]))
-            .then_some(block)
+        let last = start + bytes.len() - 1;
+        (block.len == bytes.len()
+            && !entry.body_skipped
+            && (block.any_terminator || bytes[bytes.len() - 1] == self.compiled.exec_bytes[last]))
+            .then_some((slot, block))
     }
 }
 
@@ -1638,7 +1916,7 @@ mod tests {
         let set = Ar32Set::load(&looped_program());
         let compiled = CompiledProgram::compile(&set).unwrap();
         let trace = Machine::new(set).run_recorded(&compiled).unwrap();
-        let (sims, templated) = trace.replay(&compiled, &[&cfg], &mut ()).unwrap();
+        let (sims, templated, _) = trace.replay(&compiled, &[&cfg], &mut ()).unwrap();
         assert_eq!(templated, trace.output.steps);
         assert_eq!(sims[0].retired, 34);
 
@@ -1676,9 +1954,50 @@ mod tests {
         let set = Ar32Set::load(&skipping);
         let compiled = CompiledProgram::compile(&set).unwrap();
         let trace = Machine::new(set).run_recorded(&compiled).unwrap();
-        let (_, templated) = trace.replay(&compiled, &[&cfg], &mut ()).unwrap();
+        let (_, templated, _) = trace.replay(&compiled, &[&cfg], &mut ()).unwrap();
         // The entry block and the two odd-count loop runs: 2 + 2 × 4 ops.
         assert_eq!(templated, 10);
+    }
+
+    /// On an I-cache that never evicts, a template's fetches are looked up
+    /// on its first run and counted as whole runs on every later one: the
+    /// looped program's ten loop runs all take one template, whose two
+    /// fetches (after the loop head's own) are folded on the last nine.
+    /// An evicting I-cache, or an observer that sees every access, looks
+    /// every fetch up.
+    #[test]
+    fn warm_fetches_on_a_never_evicting_icache_are_folded() {
+        struct Seen(u64);
+        impl CacheEventObserver for Seen {
+            fn icache_access(&mut self, _: u32, _: bool) {
+                self.0 += 1;
+            }
+        }
+        let set = Ar32Set::load(&looped_program());
+        let compiled = CompiledProgram::compile(&set).unwrap();
+        let trace = Machine::new(set).run_recorded(&compiled).unwrap();
+        let quiet = Sa1100Config::icache_16k();
+        let (sims, _, folded) = trace.replay(&compiled, &[&quiet], &mut ()).unwrap();
+        assert_eq!(folded, 9 * 2);
+        assert_eq!(sims[0].icache.accesses, 34);
+
+        let mut seen = Seen(0);
+        let (observed, _, folded) = trace.replay(&compiled, &[&quiet], &mut seen).unwrap();
+        assert_eq!((folded, seen.0), (0, 34));
+        assert_eq!(observed, sims);
+
+        let mut evicting = quiet.clone();
+        evicting.icache = CacheConfig {
+            name: "one-word".into(),
+            size_bytes: 4,
+            ways: 1,
+            line_bytes: 4,
+            replacement: crate::Replacement::Lru,
+        };
+        let (_, _, folded) = trace
+            .replay(&compiled, &[&quiet, &evicting], &mut ())
+            .unwrap();
+        assert_eq!(folded, 9 * 2, "only the never-evicting lane folds");
     }
 
     #[test]

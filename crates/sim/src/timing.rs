@@ -170,6 +170,12 @@ impl SimResult {
 /// ())`) monomorphizes to exactly the pre-seam code — the differential
 /// tests in `fits-obs` hold the two bit-identical.
 pub trait CacheEventObserver {
+    /// Whether this observer must see every access. Only the no-op `()`
+    /// says no, which lets pricing count the I-cache hits of a block
+    /// already resident in a cache that never evicts as one run instead
+    /// of reporting them one by one.
+    const OBSERVES: bool = true;
+
     /// One I-cache access of the aligned word at `word_addr`.
     fn icache_access(&mut self, word_addr: u32, hit: bool) {
         let _ = (word_addr, hit);
@@ -182,4 +188,6 @@ pub trait CacheEventObserver {
 }
 
 /// The no-op observer used by the untraced fast path.
-impl CacheEventObserver for () {}
+impl CacheEventObserver for () {
+    const OBSERVES: bool = false;
+}
