@@ -21,7 +21,7 @@ use fits_core::FlowError;
 use fits_kernels::kernels::{Kernel, Scale};
 use fits_power::{cache_power, chip_power_with, CachePower, ChipPower, DecodeKind};
 use fits_scenario::{ScenarioMatrix, ScenarioSpec};
-use fits_sim::{CompiledProgram, InstrSet, Machine, RecordedTrace, SimResult};
+use fits_sim::{CompiledProgram, InstrSet, Machine, RecordedTrace, Sa1100Config, SimResult};
 
 use crate::artifacts::Artifacts;
 
@@ -332,28 +332,10 @@ pub fn run_kernel_scenarios(
             .price_all(&compiled, &machines)
             .map_err(ExperimentError::Sim)?
     };
-    // The verified flow statically validates the accepted triple (encoding
-    // soundness, CFI, dataflow, translation validation) before execution.
-    let (flow, trace) = artifacts.flow_recorded(kernel, scale)?;
-    let fits_sims = {
-        let compiled = artifacts.compiled_fits(kernel, scale)?;
-        let trace = match trace {
-            Some(trace) => trace,
-            None => {
-                let set = fits_core::FitsSet::load(&flow.fits).map_err(ExperimentError::Decode)?;
-                record(set, &compiled)?
-            }
-        };
-        trace
-            .price_all(&compiled, &machines)
-            .map_err(ExperimentError::Sim)?
-    };
+    let (decode, fits_sims) = fits_sims(artifacts, kernel, scale, &machines)?;
 
     let mut runs = Vec::with_capacity(matrix.len());
     for (spec, &m) in matrix.scenarios.iter().zip(&machine_of) {
-        let decode = DecodeKind::Programmable {
-            config_bits: flow.fits.config.config_bits(),
-        };
         runs.push(ScenarioRun {
             scenario: spec.clone(),
             arm: priced(spec, arm_sims[m].clone(), DecodeKind::Fixed32),
@@ -361,6 +343,55 @@ pub fn run_kernel_scenarios(
         });
     }
     Ok(runs)
+}
+
+/// The FITS half of [`run_kernel_scenarios`] at one scenario: the same
+/// [`ConfigRun`] as its `fits` field, without recording or pricing the
+/// native binary. On a cold cache it prices the flow's own equivalence
+/// recording.
+///
+/// # Errors
+///
+/// Propagates compilation, synthesis, translation and simulation failures.
+pub fn run_fits_scenario(
+    artifacts: &Artifacts,
+    kernel: Kernel,
+    scale: Scale,
+    scenario: &ScenarioSpec,
+) -> Result<ConfigRun, ExperimentError> {
+    let (decode, sims) = fits_sims(artifacts, kernel, scale, &[scenario.machine_config()])?;
+    let sim = sims.into_iter().next().expect("one result per machine");
+    Ok(priced(scenario, sim, decode))
+}
+
+/// The verified flow's FITS binary priced on every machine of `machines`,
+/// with its decoder kind. The verified flow statically validates the
+/// accepted triple (encoding soundness, CFI, dataflow, translation
+/// validation) before execution; its equivalence recording is priced when
+/// this call computed the flow, and the binary is recorded again when an
+/// earlier call did.
+fn fits_sims(
+    artifacts: &Artifacts,
+    kernel: Kernel,
+    scale: Scale,
+    machines: &[Sa1100Config],
+) -> Result<(DecodeKind, Vec<SimResult>), ExperimentError> {
+    let (flow, trace) = artifacts.flow_recorded(kernel, scale)?;
+    let compiled = artifacts.compiled_fits(kernel, scale)?;
+    let trace = match trace {
+        Some(trace) => trace,
+        None => {
+            let set = fits_core::FitsSet::load(&flow.fits).map_err(ExperimentError::Decode)?;
+            record(set, &compiled)?
+        }
+    };
+    let sims = trace
+        .price_all(&compiled, machines)
+        .map_err(ExperimentError::Sim)?;
+    let decode = DecodeKind::Programmable {
+        config_bits: flow.fits.config.config_bits(),
+    };
+    Ok((decode, sims))
 }
 
 /// Runs the whole suite, one worker thread per CPU, sharing one artifact

@@ -34,8 +34,8 @@ pub use cachebounds::{
     KernelCacheBounds, StreamBounds,
 };
 pub use experiment::{
-    paper_matrix, run_kernel, run_kernel_scenarios, run_kernel_with, run_suite, run_suite_with,
-    Config, ConfigRun, ExperimentError, KernelResults, ScenarioRun, SuiteResults,
+    paper_matrix, run_fits_scenario, run_kernel, run_kernel_scenarios, run_kernel_with, run_suite,
+    run_suite_with, Config, ConfigRun, ExperimentError, KernelResults, ScenarioRun, SuiteResults,
 };
 pub use pareto::{
     default_candidates, pareto_json, pareto_member_table, pareto_table, price_shared_member,

@@ -240,6 +240,15 @@ impl EventLog {
         self.inner.as_ref().map_or(0, |i| i.capacity)
     }
 
+    /// [`EventLog::emit`] of the line `render` builds, which runs only
+    /// when the log is enabled: a hot path pays nothing for a line that
+    /// would go nowhere.
+    pub fn emit_with(&self, render: impl FnOnce() -> String) {
+        if self.enabled() {
+            self.emit(render());
+        }
+    }
+
     /// Enqueues one line without blocking. When the channel is full or
     /// the log is closed, the line is dropped and counted.
     pub fn emit(&self, line: String) {
@@ -508,6 +517,25 @@ mod tests {
         assert_eq!(log.emitted() + log.dropped(), 100);
         gate.store(1, Ordering::Relaxed);
         log.close();
+    }
+
+    #[test]
+    fn a_disabled_log_never_renders_a_line() {
+        let rendered = std::cell::Cell::new(0);
+        let render = || {
+            rendered.set(rendered.get() + 1);
+            "line".to_string()
+        };
+        EventLog::disabled().emit_with(render);
+        assert_eq!(rendered.get(), 0);
+
+        let (sink, bytes) = memory_sink();
+        let log = EventLog::to_sink(sink, 4, "c0ffee");
+        log.emit_with(render);
+        log.close();
+        assert_eq!(rendered.get(), 1);
+        let text = String::from_utf8(bytes.lock().unwrap().clone()).unwrap();
+        assert!(text.ends_with("\nline\n"), "{text}");
     }
 
     #[test]

@@ -21,8 +21,8 @@
 use std::sync::Arc;
 
 use fits_bench::{
-    cache_bounds_report_with, price_shared_member, run_kernel_scenarios, synth_key, write_isa,
-    write_sweep_fields, Artifacts, ExperimentError, IsaAggregate, SweepPoint,
+    cache_bounds_report_with, price_shared_member, run_fits_scenario, run_kernel_scenarios,
+    synth_key, write_isa, write_sweep_fields, Artifacts, ExperimentError, IsaAggregate, SweepPoint,
 };
 use fits_core::{synthesize_multi, MultiError, MultiMember, MultiOptions, SynthOptions};
 use fits_isa::spec::{builtin_ar32, excerpt, IsaSpec, SpecCatalog};
@@ -948,23 +948,21 @@ fn synthesize_multi_body(
     w.end_obj();
 
     // Per-member pricing: the shared binary through the same replay path
-    // as the library report, the solo baseline from the shared artifact
-    // cache.
-    let matrix = ScenarioMatrix {
-        scenarios: vec![scenario.clone()],
-    };
+    // as the library report, the solo FITS baseline from the shared
+    // artifact cache (the native binary is not reported, so it is neither
+    // recorded nor priced).
     w.key("members");
     w.begin_arr_lines();
     for (kernel, m) in kernels.iter().zip(&outcome.members) {
         let shared_run = price_shared_member(&m.translation.fits, &scenario)?;
-        let solo_run = run_kernel_scenarios(artifacts, *kernel, req.scale, &matrix)?.remove(0);
+        let solo_run = run_fits_scenario(artifacts, *kernel, req.scale, &scenario)?;
         w.begin_obj();
         w.field_str("kernel", &m.name);
         w.field_u64("solo_code_bytes", m.solo_code_bytes as u64);
         w.field_u64("shared_code_bytes", m.translation.fits.code_bytes() as u64);
         w.field_f64_prec("regression", m.regression, 6);
         w.key("solo");
-        write_isa(&mut w, &IsaAggregate::from_run(&solo_run.fits));
+        write_isa(&mut w, &IsaAggregate::from_run(&solo_run));
         w.key("shared");
         write_isa(&mut w, &IsaAggregate::from_run(&shared_run));
         w.end_obj();
@@ -1794,6 +1792,26 @@ mod tests {
         }
         // Identical requests produce identical bytes on recomputation.
         assert_eq!(body, req.compute(&artifacts).unwrap());
+    }
+
+    /// A cold `/synthesize-multi` over two kernels executes each member's
+    /// native binary once (profiling), its solo FITS binary once (the
+    /// flow's equivalence run, whose recording prices the solo baseline)
+    /// and its shared FITS binary once. The native binary is never
+    /// reported, so it is not recorded again.
+    #[test]
+    fn cold_multi_executes_each_member_binary_once() {
+        use fits_bench::experiment::timed_executions_on_this_thread;
+
+        let req = post(
+            "/synthesize-multi",
+            "{\"kernels\": [\"bitcount\", \"crc32\"]}",
+        );
+        let artifacts = Artifacts::new().with_synth(req.synth.clone());
+        let before = timed_executions_on_this_thread();
+        let body = req.compute(&artifacts).unwrap();
+        assert!(body.contains("\"accepted\": true"));
+        assert_eq!(timed_executions_on_this_thread() - before, 2 * 3);
     }
 
     #[test]

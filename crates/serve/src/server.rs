@@ -326,10 +326,9 @@ fn shed(state: &ServerState, stream: &mut TcpStream) {
     let _ = stream.set_write_timeout(Some(crate::http::IO_TIMEOUT));
     let _ = stream.set_read_timeout(Some(std::time::Duration::from_secs(2)));
     let _ = write_response(stream, &response);
-    state.log.emit(event_line(
-        Level::Warn,
-        &format!("shed trace={trace}: job queue full"),
-    ));
+    state
+        .log
+        .emit_with(|| event_line(Level::Warn, &format!("shed trace={trace}: job queue full")));
     // Drain the unread request before closing, or the kernel answers the
     // client's pending bytes with RST and it never sees the 503.
     use std::io::Read;
@@ -435,7 +434,7 @@ fn respond(
         .map_or("-", |(_, v)| v.as_str());
     let us = u64::try_from(wall.as_micros()).unwrap_or(u64::MAX);
     let phases = spans.map(SpanRegistry::snapshot).unwrap_or_default();
-    state.log.emit(
+    state.log.emit_with(|| {
         AccessRecord {
             trace,
             method,
@@ -445,8 +444,8 @@ fn respond(
             us,
             phases: &phases,
         }
-        .line(),
-    );
+        .line()
+    });
     state.flight.record(
         RequestSummary {
             seq: 0,
