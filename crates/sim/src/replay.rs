@@ -28,8 +28,10 @@
 //!    requested configurations, with per-configuration timing state held
 //!    in [`Lane`]s. The cycle at which each cache access lands in a lane is
 //!    reconstructed from shared event counters and lane-local stall totals,
-//!    so every lane's `Cache` sees exactly the `(addr, data, cycle)`
-//!    sequence a dedicated per-configuration model would have produced.
+//!    so every lane's `Cache` counts exactly the `(addr, data, cycle)`
+//!    sequence a dedicated per-configuration model would have produced —
+//!    looked up access by access, or, for the fetches of a warm block on
+//!    an I-cache that never evicts, counted as hits per peak window.
 //!    Configurations no replay can tell apart share one lane
 //!    ([`CompiledProgram::replay_classes`]): if no set of an I-cache ever
 //!    receives more distinct text lines than it has ways, that cache never
@@ -678,16 +680,19 @@ impl RecordedTrace {
             .map(|cfg| Lane::new(cfg, compiled))
             .collect::<Result<Vec<_>, _>>()?;
         let steps = compiled.templates();
-        let mut blocks = BlockTemplates::new(compiled);
-        // A block-run record holds its first access's index in 32 bits.
-        let records_fit = u32::try_from(self.mem.len()).is_ok();
+        // Templates get a fold, and their runs become block-run records,
+        // only when some lane can fold. A block-run record holds its first
+        // access's index in 32 bits.
+        let folds =
+            !O::OBSERVES && lanes.iter().any(Lane::folds) && u32::try_from(self.mem.len()).is_ok();
+        let mut blocks = BlockTemplates::new(compiled, folds);
         let mut replay = Replay::new(Vec::with_capacity(CHUNK_EVENTS + 64));
         let (mut flag, mut mem, mut templated) = (0, 0, 0);
         for entry in &self.entries {
             let start = entry.start as usize;
             let bytes = &self.flags[flag..flag + entry.len as usize];
             flag += bytes.len();
-            match blocks.lookup(entry, bytes).filter(|_| records_fit) {
+            match blocks.lookup(entry, bytes) {
                 Some((index, block)) => {
                     replay.run_block(index, block, &steps[start..], bytes, &self.mem, &mut mem);
                     templated += bytes.len() as u64;
@@ -983,6 +988,12 @@ impl Lane {
             folded: 0,
             dmisses: Vec::new(),
         })
+    }
+
+    /// Whether this lane counts warm fetches without a lookup: its
+    /// I-cache never evicts.
+    fn folds(&self) -> bool {
+        !self.warm.is_empty()
     }
 
     /// The cycle counter a dedicated timing model for this lane's
@@ -1476,11 +1487,14 @@ impl<'a> Replay<'a> {
     ///
     /// The first op goes through [`Replay::observe`], so it meets the
     /// carried pending op; the template of the resulting entry state then
-    /// stands for the rest. It is buffered as one block-run record — the
-    /// template's id, the base-cycle snapshot, the entry deltas, the
-    /// carried load-use stall and the block's first access — which each
-    /// lane expands itself ([`Lane::block_run`]), so the walk's cost does
-    /// not grow with the block.
+    /// stands for the rest. A template with a [`Fold`] is buffered as one
+    /// block-run record — the template's id, the base-cycle snapshot, the
+    /// entry deltas, the carried load-use stall and the block's first
+    /// access — which each lane expands itself ([`Lane::block_run`]), so
+    /// the walk's cost does not grow with the block. Any other template's
+    /// events are copied once, patched the same way, for every lane to
+    /// drain: a lane that looks every access up drains a shared copy
+    /// faster than it expands a record.
     fn run_block(
         &mut self,
         index: u32,
@@ -1504,17 +1518,32 @@ impl<'a> Replay<'a> {
         // A load issued by the previous group stalls the template's first
         // group, which delays every event from that issue on by a cycle.
         let stall = u64::from(self.last_group_load_dest & tpl.first_group_sources != 0);
-        let sink = &mut self.sink;
-        if !tpl.events.is_empty() {
+        let (sink, base) = (&mut self.sink, self.shared.base_cycles);
+        if tpl.events.is_empty() {
+            // Nothing to deliver: pending deltas wait for the next event.
+        } else if tpl.fold.is_some() {
             // Deltas pending at entry ride the record, ahead of the
-            // template's first event. The caller checked that every
-            // access index fits the record.
+            // template's first event.
             sink.push(
                 2 * index + entry as u32,
                 first_access as u32,
-                self.shared.base_cycles,
+                base,
                 stall << K_STALL | 1 << K_BLOCK,
             );
+        } else {
+            // The events every lane would expand the record into, once.
+            let at = sink.buf.len();
+            sink.buf.extend(tpl.events.iter().map(|ev| {
+                let offset = ev.packed & BASE_MASK;
+                let packed = ev.packed + base + (stall & u64::from(offset != 0));
+                let (addr, word) = if (ev.packed >> K_DCACHE) & 1 == 0 {
+                    (ev.addr, ev.word)
+                } else {
+                    mem[first_access + ev.addr as usize]
+                };
+                ReplayEvent { addr, word, packed }
+            }));
+            sink.buf[at].packed += std::mem::take(&mut sink.deltas);
         }
         sink.deltas += tpl.trailing;
         let last = &steps[bytes.len() - 1];
@@ -1601,10 +1630,21 @@ struct FetchPoint {
     toggles_before: u32,
 }
 
+/// Fewest fetches a template needs for a [`Fold`]. Below it, a lane's work
+/// per block-run record costs more than the lookups the fold saves: over
+/// the 42 perfbench `paper` binaries priced on the paper's cache pair,
+/// minimums of 0, 3, 6, 10 and 16 were tried, and 6 priced fastest.
+const FOLD_MIN_FETCHES: usize = 6;
+
 impl Fold {
-    /// The fold of a template with `events`, unless an event carries a
-    /// branch penalty, which no template issues.
+    /// The fold of a template with `events`, if it has at least
+    /// [`FOLD_MIN_FETCHES`] fetches and no event carries a branch penalty
+    /// (which no template issues).
     fn of(events: &[ReplayEvent]) -> Option<Fold> {
+        let fetches = events.iter().filter(|ev| (ev.packed >> K_DCACHE) & 1 == 0);
+        if fetches.count() < FOLD_MIN_FETCHES {
+            return None;
+        }
         let (mut data, mut fetches) = (Vec::new(), Vec::new());
         let (mut muls, mut toggles) = (0, 0);
         for ev in events {
@@ -1648,9 +1688,10 @@ struct BlockTemplate {
 
 impl BlockTemplate {
     /// Pre-runs the block of `len` ops at op `first` from both entry
-    /// states. The terminator's branch outcome is left out: the run that
-    /// issues it inside the template applies the recorded one.
-    fn build(compiled: &CompiledProgram, first: usize, len: usize) -> BlockTemplate {
+    /// states, each with its [`Fold`] if `folds`. The terminator's branch
+    /// outcome is left out: the run that issues it inside the template
+    /// applies the recorded one.
+    fn build(compiled: &CompiledProgram, first: usize, len: usize, folds: bool) -> BlockTemplate {
         let steps = &compiled.templates[first..first + len];
         let bytes = &compiled.exec_bytes[first..first + len];
         // A stand-in memory stream whose k-th access has address k, so each
@@ -1684,7 +1725,7 @@ impl BlockTemplate {
             };
             let events = replay.sink.buf;
             IssueTemplate {
-                fold: Fold::of(&events),
+                fold: Fold::of(&events).filter(|_| folds),
                 events: events.into_boxed_slice(),
                 trailing: replay.sink.deltas,
                 base_cycles: replay.shared.base_cycles,
@@ -1710,6 +1751,8 @@ impl BlockTemplate {
 /// blocks the trace runs whole pay for one.
 struct BlockTemplates<'c> {
     compiled: &'c CompiledProgram,
+    /// Whether templates get their [`Fold`].
+    folds: bool,
     /// Per op: index into `built` of the block it leads, or [`UNBUILT`] /
     /// [`NO_TEMPLATE`].
     slot: Vec<u32>,
@@ -1723,9 +1766,10 @@ const UNBUILT: u32 = u32::MAX;
 const NO_TEMPLATE: u32 = u32::MAX - 1;
 
 impl<'c> BlockTemplates<'c> {
-    fn new(compiled: &'c CompiledProgram) -> BlockTemplates<'c> {
+    fn new(compiled: &'c CompiledProgram, folds: bool) -> BlockTemplates<'c> {
         BlockTemplates {
             compiled,
+            folds,
             slot: vec![UNBUILT; compiled.op_count()],
             built: Vec::new(),
         }
@@ -1744,7 +1788,8 @@ impl<'c> BlockTemplates<'c> {
         if slot == UNBUILT {
             let block = &self.compiled.blocks[self.compiled.block_of[start] as usize];
             slot = if block.first as usize == start && block.len >= 2 {
-                let built = BlockTemplate::build(self.compiled, start, block.len as usize);
+                let built =
+                    BlockTemplate::build(self.compiled, start, block.len as usize, self.folds);
                 self.built.push(built);
                 self.built.len() as u32 - 1
             } else {
@@ -1960,11 +2005,12 @@ mod tests {
     }
 
     /// On an I-cache that never evicts, a template's fetches are looked up
-    /// on its first run and counted as whole runs on every later one: the
-    /// looped program's ten loop runs all take one template, whose two
-    /// fetches (after the loop head's own) are folded on the last nine.
-    /// An evicting I-cache, or an observer that sees every access, looks
-    /// every fetch up.
+    /// on its first run and counted without a lookup on every later one:
+    /// the loop's first run pairs its head with the carried `mov`, and its
+    /// seven later runs take the other template, whose seven fetches
+    /// (after the loop head's own) are counted so on the last six. An
+    /// evicting I-cache, an observer that sees every access, or a loop
+    /// body with too few fetches to pay for a fold looks every fetch up.
     #[test]
     fn warm_fetches_on_a_never_evicting_icache_are_folded() {
         struct Seen(u64);
@@ -1973,17 +2019,39 @@ mod tests {
                 self.0 += 1;
             }
         }
-        let set = Ar32Set::load(&looped_program());
+        let add = |r| Instr::dp(DpOp::Add, r, r, Operand2::imm(1).unwrap());
+        let mut text = vec![Instr::mov(Reg::R0, Operand2::imm(8).unwrap())];
+        // loop: six adds; r0 -= 1; bne loop
+        text.extend([Reg::R1, Reg::R2, Reg::R3, Reg::R4, Reg::R5, Reg::R6].map(add));
+        text.extend([
+            Instr::Dp {
+                cond: Cond::Al,
+                op: DpOp::Sub,
+                set_flags: true,
+                rd: Reg::R0,
+                rn: Reg::R0,
+                op2: Operand2::imm(1).unwrap(),
+            },
+            Instr::b(-9).with_cond(Cond::Ne),
+            Instr::Swi {
+                cond: Cond::Al,
+                imm: 0,
+            },
+        ]);
+        let set = Ar32Set::load(&Program {
+            text,
+            ..Program::default()
+        });
         let compiled = CompiledProgram::compile(&set).unwrap();
         let trace = Machine::new(set).run_recorded(&compiled).unwrap();
         let quiet = Sa1100Config::icache_16k();
         let (sims, _, folded) = trace.replay(&compiled, &[&quiet], &mut ()).unwrap();
-        assert_eq!(folded, 9 * 2);
-        assert_eq!(sims[0].icache.accesses, 34);
+        assert_eq!(folded, 6 * 7);
+        assert_eq!(sims[0].icache.accesses, trace.output.steps);
 
         let mut seen = Seen(0);
         let (observed, _, folded) = trace.replay(&compiled, &[&quiet], &mut seen).unwrap();
-        assert_eq!((folded, seen.0), (0, 34));
+        assert_eq!((folded, seen.0), (0, trace.output.steps));
         assert_eq!(observed, sims);
 
         let mut evicting = quiet.clone();
@@ -1997,7 +2065,14 @@ mod tests {
         let (_, _, folded) = trace
             .replay(&compiled, &[&quiet, &evicting], &mut ())
             .unwrap();
-        assert_eq!(folded, 9 * 2, "only the never-evicting lane folds");
+        assert_eq!(folded, 6 * 7, "only the never-evicting lane folds");
+
+        // The looped program's loop body fetches twice after its head.
+        let set = Ar32Set::load(&looped_program());
+        let compiled = CompiledProgram::compile(&set).unwrap();
+        let trace = Machine::new(set).run_recorded(&compiled).unwrap();
+        let (_, _, folded) = trace.replay(&compiled, &[&quiet], &mut ()).unwrap();
+        assert_eq!(folded, 0);
     }
 
     #[test]

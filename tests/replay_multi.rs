@@ -803,26 +803,34 @@ fn multiplies_between_cache_events_price_like_the_reference() {
     });
 }
 
+/// `n` adds that touch none of the registers the cases below use, long
+/// enough to give a loop body the fetches a fold needs in both ISAs.
+fn filler(n: usize) -> impl Iterator<Item = Instr> {
+    (0..n).map(|i| {
+        let r = [Reg::R2, Reg::R8, Reg::R9][i % 3];
+        add(r, r, 1)
+    })
+}
+
 /// A warm loop body with no memory access is one run of fetches. Its
-/// forty runs of about five cycles each start at every phase of a
+/// forty runs of about ten cycles each start at many phases of a
 /// 64-cycle peak window, so some runs straddle a window boundary and
 /// their accesses and toggles must be split between the two windows.
 #[test]
 fn warm_fetches_straddling_a_peak_window_price_like_the_reference() {
     assert_both_isas_price_like_the_reference("straddling fetches", |_| {
-        vec![
+        let mut text = vec![
             Instr::mov(Reg::R0, imm(40)),
             add(Reg::R1, Reg::R1, 1), // loop
-            add(Reg::R2, Reg::R2, 2),
-            add(Reg::R3, Reg::R3, 3),
-            add(Reg::R4, Reg::R4, 4),
-            add(Reg::R5, Reg::R5, 5),
-            add(Reg::R6, Reg::R6, 6),
+        ];
+        text.extend(filler(12));
+        text.extend([
             dec(Reg::R0),
-            Instr::b(-9).with_cond(Cond::Ne),
+            Instr::b(-16).with_cond(Cond::Ne),
             Instr::mov(Reg::R0, Operand2::reg(Reg::R1)),
             EXIT,
-        ]
+        ]);
+        text
     });
 }
 
@@ -832,19 +840,21 @@ fn warm_fetches_straddling_a_peak_window_price_like_the_reference() {
 #[test]
 fn a_dcache_miss_inside_a_warm_block_prices_like_the_reference() {
     assert_both_isas_price_like_the_reference("D-miss in a warm block", |_| {
-        vec![
+        let mut text = vec![
             Instr::mov(Reg::R0, imm(12)),
             Instr::mov(Reg::R3, imm(DATA_BASE)),
             add(Reg::R1, Reg::R1, 1), // loop
             Instr::mem(MemOp::Ldr, Reg::R5, Reg::R3, 0),
             add(Reg::R3, Reg::R3, 32),
-            add(Reg::R2, Reg::R2, 2),
-            add(Reg::R4, Reg::R4, 4),
+        ];
+        text.extend(filler(10));
+        text.extend([
             dec(Reg::R0),
-            Instr::b(-8).with_cond(Cond::Ne),
+            Instr::b(-16).with_cond(Cond::Ne),
             Instr::mov(Reg::R0, Operand2::reg(Reg::R1)),
             EXIT,
-        ]
+        ]);
+        text
     });
 }
 
@@ -856,21 +866,24 @@ fn a_dcache_miss_inside_a_warm_block_prices_like_the_reference() {
 #[test]
 fn entry_deltas_and_a_carried_stall_on_a_warm_block_price_like_the_reference() {
     assert_both_isas_price_like_the_reference("entry deltas and stall", |_| {
-        vec![
+        let mut text = vec![
             Instr::mov(Reg::R0, imm(4)),
             Instr::mov(Reg::R1, imm(2)), // outer
             Instr::mov(Reg::R4, imm(DATA_BASE)),
             Instr::mem(MemOp::Ldr, Reg::R5, Reg::R4, 0), // pending at the fall-through
             Instr::mul(Reg::R6, Reg::R0, Reg::R0),       // inner: pairs with the load
             add(Reg::R7, Reg::R5, 1),                    // uses the load
-            add(Reg::R2, Reg::R2, 1),
+        ];
+        text.extend(filler(10));
+        text.extend([
             dec(Reg::R1),
-            Instr::b(-6).with_cond(Cond::Ne),
+            Instr::b(-15).with_cond(Cond::Ne),
             dec(Reg::R0),
-            Instr::b(-11).with_cond(Cond::Ne),
+            Instr::b(-20).with_cond(Cond::Ne),
             Instr::mov(Reg::R0, Operand2::reg(Reg::R7)),
             EXIT,
-        ]
+        ]);
+        text
     });
 }
 
