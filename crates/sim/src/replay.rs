@@ -60,11 +60,14 @@
 //! buffers one **block-run record** in place of the template's events:
 //! the template's id, the base-cycle snapshot, the penalty deltas pending
 //! at entry, the carried load-use stall bit and the index of the block's
-//! first memory access ([`Replay::run_block`]). The recorder flags runs
-//! that skipped an op before their terminator, so finding a run's template
-//! is O(1). Runs that start mid-block or skip an op before the terminator
-//! take the per-op path, which is also the code the templates are
-//! generated from.
+//! first memory access ([`Replay::run_block`]). Only a template with a
+//! [`Fold`] becomes records: one with fewer than [`FOLD_MIN_FETCHES`]
+//! fetches, or any template in a pass where no lane can fold, has its
+//! events copied into the buffer once instead, for every lane to drain.
+//! The recorder flags runs that skipped an op before their terminator, so
+//! finding a run's template is O(1). Runs that start mid-block or skip an
+//! op before the terminator take the per-op path, which is also the code
+//! the templates are generated from.
 //!
 //! Each lane expands a record itself, in the template's event order: the
 //! entry deltas first, the stall on every event from the template's first
@@ -82,8 +85,8 @@
 //! split:** fetch cycles never decrease, so the fetches are cut at each
 //! [`crate::PEAK_WINDOW_CYCLES`] boundary they cross (found by binary
 //! search) and each piece adds its count and toggle sum at once. Cold
-//! runs, evicting lanes and real observers expand the record event by
-//! event.
+//! runs, and evicting lanes in a pass where another lane folds, expand the
+//! record event by event.
 //!
 //! The differential tests (`tests/replay_multi.rs`, `tests/prop_replay.rs`
 //! and the `fits-obs` suite) hold single- and multi-lane pricing
@@ -1108,8 +1111,8 @@ impl Lane {
     }
 
     /// Prices a warm run of a template on a lane whose I-cache never
-    /// evicts. The D-cache accesses go first, in order, noting the D-stall
-    /// total before each: the I-cache only counts hits here, which
+    /// evicts. The D-cache accesses go first, in order, noting which
+    /// miss: the I-cache only counts hits here, which
     /// neither stall nor touch the D-cache, so a fetch's cycle is the
     /// lane clock at entry plus its offset, the multiplies before it
     /// priced at this lane's `mul_extra`, and the D stalls before it.
@@ -1631,9 +1634,11 @@ struct FetchPoint {
 }
 
 /// Fewest fetches a template needs for a [`Fold`]. Below it, a lane's work
-/// per block-run record costs more than the lookups the fold saves: over
+/// per block-run record costs more than the lookups the fold saves. Over
 /// the 42 perfbench `paper` binaries priced on the paper's cache pair,
-/// minimums of 0, 3, 6, 10 and 16 were tried, and 6 priced fastest.
+/// minimums of 0, 3, 6, 10 and 16 were tried: 6 priced fastest, 2-3%
+/// ahead of 0 and 10 (a margin near the run-to-run spread) and 9% ahead of
+/// 16.
 const FOLD_MIN_FETCHES: usize = 6;
 
 impl Fold {
