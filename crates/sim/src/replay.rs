@@ -945,8 +945,9 @@ struct Lane {
     dmisses: Vec<u32>,
 }
 
-/// Where a block-run record's events land: its base-cycle snapshot, its
-/// carried load-use stall, and the memory stream from its first access.
+/// Where one templated block run's events land: its base-cycle snapshot,
+/// its carried load-use stall, and the memory stream from its first
+/// access.
 struct BlockRun<'m> {
     base: u64,
     stall: u64,
@@ -960,6 +961,20 @@ impl BlockRun<'_> {
     fn base(&self, packed: u64) -> u64 {
         let offset = packed & BASE_MASK;
         self.base + offset + (self.stall & u64::from(offset != 0))
+    }
+
+    /// The cache access a template event stands for in this run: at its
+    /// base cycle, and for a D-cache access with its address and data from
+    /// the memory stream.
+    #[inline(always)]
+    fn event(&self, ev: &ReplayEvent) -> ReplayEvent {
+        let (addr, word) = if (ev.packed >> K_DCACHE) & 1 == 0 {
+            (ev.addr, ev.word)
+        } else {
+            self.accesses[ev.addr as usize]
+        };
+        let packed = (ev.packed & !BASE_MASK) | self.base(ev.packed);
+        ReplayEvent { addr, word, packed }
     }
 }
 
@@ -1025,42 +1040,36 @@ impl Lane {
         obs: &mut O,
     ) {
         for ev in events {
-            let p = ev.packed;
-            // Penalty deltas are zero on the vast majority of accesses
-            // (only branches and multiplies produce them), so one
-            // well-predicted branch beats three unconditional multiplies.
-            if p >> D_MUL != 0 {
-                if p >> K_BLOCK != 0 {
-                    self.block_run(ev, templates, mem, obs);
-                    continue;
-                }
-                self.apply_deltas(p);
+            if ev.packed >> K_BLOCK != 0 {
+                self.block_run(ev, templates, mem, obs);
+            } else {
+                self.access(ev, obs);
             }
-            self.access(ev.addr, p, ev.word, self.cycle_at(p & BASE_MASK), obs);
         }
     }
 
-    /// One cache access at `cycle`, of the cache and kind that `packed`
-    /// selects. `word` is the I-fetch's toggle count or the D access's
-    /// data word.
+    /// One cache access: its penalty deltas, then the access of the cache
+    /// and kind its packed word selects. Its word is the I-fetch's toggle
+    /// count or the D access's data word.
     #[inline(always)]
-    fn access<O: CacheEventObserver>(
-        &mut self,
-        addr: u32,
-        packed: u64,
-        word: u32,
-        cycle: u64,
-        obs: &mut O,
-    ) {
-        if (packed >> K_DCACHE) & 1 == 0 {
-            let hit = self.caches[0].access_toggles(addr, false, u64::from(word), cycle);
+    fn access<O: CacheEventObserver>(&mut self, ev: &ReplayEvent, obs: &mut O) {
+        let p = ev.packed;
+        // Penalty deltas are zero on the vast majority of accesses (only
+        // branches and multiplies produce them), so one well-predicted
+        // branch beats three unconditional multiplies.
+        if p >> D_MUL != 0 {
+            self.apply_deltas(p);
+        }
+        let cycle = self.cycle_at(p & BASE_MASK);
+        if (p >> K_DCACHE) & 1 == 0 {
+            let hit = self.caches[0].access_toggles(ev.addr, false, u64::from(ev.word), cycle);
             self.stalls[0] += self.miss_penalty[0] * u64::from(!hit);
-            obs.icache_access(addr, hit);
+            obs.icache_access(ev.addr, hit);
         } else {
-            let write = (packed >> K_WRITE) & 1 != 0;
-            let hit = self.caches[1].access(addr, write, word, cycle);
+            let write = (p >> K_WRITE) & 1 != 0;
+            let hit = self.caches[1].access(ev.addr, write, ev.word, cycle);
             self.stalls[1] += self.miss_penalty[1] * u64::from(!hit);
-            obs.dcache_access(addr, write, hit);
+            obs.dcache_access(ev.addr, write, hit);
         }
     }
 
@@ -1093,17 +1102,7 @@ impl Lane {
             return;
         }
         for ev in &tpl.events {
-            let q = ev.packed;
-            if q >> D_MUL != 0 {
-                self.apply_deltas(q);
-            }
-            let cycle = self.cycle_at(at.base(q));
-            if (q >> K_DCACHE) & 1 == 0 {
-                self.access(ev.addr, q, ev.word, cycle, obs);
-            } else {
-                let (addr, data) = at.accesses[ev.addr as usize];
-                self.access(addr, q, data, cycle, obs);
-            }
+            self.access(&at.event(ev), obs);
         }
         if let Some(warm) = self.warm.get_mut(id) {
             *warm = true;
@@ -1535,17 +1534,13 @@ impl<'a> Replay<'a> {
             );
         } else {
             // The events every lane would expand the record into, once.
+            let run = BlockRun {
+                base,
+                stall,
+                accesses: &mem[first_access..],
+            };
             let at = sink.buf.len();
-            sink.buf.extend(tpl.events.iter().map(|ev| {
-                let offset = ev.packed & BASE_MASK;
-                let packed = ev.packed + base + (stall & u64::from(offset != 0));
-                let (addr, word) = if (ev.packed >> K_DCACHE) & 1 == 0 {
-                    (ev.addr, ev.word)
-                } else {
-                    mem[first_access + ev.addr as usize]
-                };
-                ReplayEvent { addr, word, packed }
-            }));
+            sink.buf.extend(tpl.events.iter().map(|ev| run.event(ev)));
             sink.buf[at].packed += std::mem::take(&mut sink.deltas);
         }
         sink.deltas += tpl.trailing;
