@@ -1,7 +1,7 @@
 //! Shared, thread-safe cache of per-`(kernel, scale)` experiment artifacts.
 //!
-//! Every sweep in the harness (the §5 repro, the ablations, the THUMB size
-//! study) starts from the same expensive inputs: the compiled native
+//! Every sweep in the harness (the §5 figures and the A1–A4 ablations of
+//! `powerfits-repro`, the THUMB size study) starts from the same expensive inputs: the compiled native
 //! [`Program`], its stage-1 [`Profile`], the accepted [`FlowOutcome`] and
 //! the T16 recompilation. Before this cache each sweep point recompiled and
 //! re-profiled from scratch — ablation A1 alone re-derived 5 kernels × 5

@@ -9,10 +9,9 @@
 //! Entry points:
 //!
 //! * `cargo run -p fits-bench --bin powerfits-repro --release` — the full
-//!   reproduction at experiment scale.
-//! * `cargo bench -p fits-bench` — the same tables at reduced scale
-//!   (`paper_figures`), design-choice ablations (`ablations`) and
-//!   micro-benchmarks (`components`).
+//!   reproduction: every figure at experiment scale, then the A1–A4
+//!   design-choice ablations. Its stdout is the archived
+//!   `results/powerfits-repro-full.txt`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

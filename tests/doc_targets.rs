@@ -1,8 +1,9 @@
-//! Every `--bin NAME` and `--bench NAME` that the docs, the CI workflow and
-//! the verify recipe tell a reader to run must name a real cargo target, so
-//! deleting or renaming a tool cannot leave its commands behind.
+//! Every `--bin NAME`, `--bench NAME` and `--example NAME` that the docs,
+//! the CI workflow and the verify recipe tell a reader to run must name a
+//! real cargo target, so deleting or renaming a tool cannot leave its
+//! commands behind.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::Path;
 
@@ -54,10 +55,22 @@ fn discovered(dir: &Path, claimed: &[std::path::PathBuf]) -> Vec<String> {
         .collect()
 }
 
-/// `(bins, benches)` over every manifest: `[[bin]]`/`[[bench]]` entries,
-/// `src/main.rs` (named after the package), `src/bin/` and `benches/`.
-fn targets(root: &Path) -> (BTreeSet<String>, BTreeSet<String>) {
-    let (mut bins, mut benches) = (BTreeSet::new(), BTreeSet::new());
+/// Each target flag, the manifest section that declares such a target, and
+/// the directory cargo discovers them in.
+const KINDS: &[(&str, &str, &str)] = &[
+    ("--bin", "[[bin]]", "src/bin"),
+    ("--bench", "[[bench]]", "benches"),
+    ("--example", "[[example]]", "examples"),
+];
+
+/// The target names over every manifest, keyed by flag: the entries of
+/// each kind's section, the files in its directory, and `src/main.rs`
+/// (a bin named after the package).
+fn targets(root: &Path) -> BTreeMap<&'static str, BTreeSet<String>> {
+    let mut targets: BTreeMap<_, BTreeSet<String>> = KINDS
+        .iter()
+        .map(|&(flag, ..)| (flag, BTreeSet::new()))
+        .collect();
     for manifest in manifests(root) {
         let text = fs::read_to_string(&manifest).expect("manifest is readable");
         let dir = manifest.parent().expect("manifest has a directory");
@@ -70,23 +83,28 @@ fn targets(root: &Path) -> (BTreeSet<String>, BTreeSet<String>) {
             } else if let Some(path) = value(line, "path") {
                 claimed.push(dir.join(path));
             } else if let Some(name) = value(line, "name") {
-                match section {
-                    "[[bin]]" => drop(bins.insert(name.to_owned())),
-                    "[[bench]]" => drop(benches.insert(name.to_owned())),
-                    "[package]" if dir.join("src/main.rs").is_file() => {
-                        bins.insert(name.to_owned());
-                    }
-                    _ => {}
+                let kind = if section == "[package]" && dir.join("src/main.rs").is_file() {
+                    Some("--bin")
+                } else {
+                    KINDS
+                        .iter()
+                        .find(|&&(_, declared, _)| section == declared)
+                        .map(|&(flag, ..)| flag)
+                };
+                if let Some(flag) = kind {
+                    targets.entry(flag).or_default().insert(name.to_owned());
                 }
             }
         }
-        bins.extend(discovered(&dir.join("src/bin"), &claimed));
-        benches.extend(discovered(&dir.join("benches"), &claimed));
+        for &(flag, _, subdir) in KINDS {
+            let found = discovered(&dir.join(subdir), &claimed);
+            targets.entry(flag).or_default().extend(found);
+        }
     }
-    (bins, benches)
+    targets
 }
 
-/// Every `(flag, name)` a text passes to `--bin` or `--bench`, as
+/// Every `(flag, name)` a text passes to a target flag, as
 /// `--flag NAME` or `--flag=NAME`. A flag quoted on its own (`` `--bin` ``)
 /// is prose, not a command, and is skipped.
 fn references(text: &str) -> Vec<(&'static str, String)> {
@@ -100,7 +118,7 @@ fn references(text: &str) -> Vec<(&'static str, String)> {
     let mut refs = Vec::new();
     for (i, token) in tokens.iter().enumerate() {
         let token = token.trim_start_matches('`');
-        for flag in ["--bin", "--bench"] {
+        for &(flag, ..) in KINDS {
             if token == flag {
                 let next = tokens.get(i + 1).copied().unwrap_or("");
                 refs.push((flag, name_of(next.trim_start_matches('`'))));
@@ -115,22 +133,21 @@ fn references(text: &str) -> Vec<(&'static str, String)> {
 #[test]
 fn every_documented_target_exists() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let (bins, benches) = targets(root);
+    let targets = targets(root);
     let mut dangling = Vec::new();
     let mut checked = 0;
     for doc in DOCS {
         let text = fs::read_to_string(root.join(doc)).expect("document is readable");
         for (flag, name) in references(&text) {
             checked += 1;
-            let known = if flag == "--bin" { &bins } else { &benches };
-            if !known.contains(&name) {
+            if !targets[flag].contains(&name) {
                 dangling.push(format!("{doc}: {flag} {name:?}"));
             }
         }
     }
     assert!(
         dangling.is_empty(),
-        "commands name targets that do not exist: {dangling:#?}\nbins: {bins:?}\nbenches: {benches:?}"
+        "commands name targets that do not exist: {dangling:#?}\ntargets: {targets:#?}"
     );
     // The docs really do name targets: a scanner that found none would
     // pass vacuously.
@@ -139,19 +156,35 @@ fn every_documented_target_exists() {
 
 #[test]
 fn targets_cover_manifest_entries_and_discovered_files() {
-    let (bins, benches) = targets(Path::new(env!("CARGO_MANIFEST_DIR")));
-    // `[[bin]]` with a custom path, an auto-discovered `src/bin/` file, a
-    // package `src/main.rs`, and a `[[bench]]`.
+    let targets = targets(Path::new(env!("CARGO_MANIFEST_DIR")));
+    // `[[bin]]` with a custom path, an auto-discovered `src/bin/` file and a
+    // package `src/main.rs`.
     for bin in ["powerfits-repro", "fitslint", "fitsd", "perfbench"] {
-        assert!(bins.contains(bin), "{bin} missing from {bins:?}");
-    }
-    for bench in ["paper_figures", "ablations", "components"] {
-        assert!(benches.contains(bench), "{bench} missing from {benches:?}");
+        assert!(
+            targets["--bin"].contains(bin),
+            "{bin} missing from {targets:?}"
+        );
     }
     assert!(
-        !bins.contains("repro"),
+        !targets["--bin"].contains("repro"),
         "a [[bin]] path is not a target name"
     );
+    // Root `examples/` and a member crate's `examples/`.
+    for example in ["quickstart", "custom_kernel", "design_space", "thumbsize"] {
+        assert!(
+            targets["--example"].contains(example),
+            "{example} missing from {targets:?}"
+        );
+    }
+    // The workspace has no bench targets: `powerfits-repro` prints the
+    // figures and the ablations, and perfbench is the timing harness.
+    for bench in ["ablations", "paper_figures", "components"] {
+        let (flag, name) = &references(&format!("cargo bench --bench {bench}"))[0];
+        assert!(
+            !targets[flag].contains(name),
+            "--bench {bench} still names a target"
+        );
+    }
 }
 
 #[test]
@@ -166,8 +199,12 @@ fn references_parse_commands_and_skip_prose() {
             ("--bin", "fitsd".to_owned()),
         ]
     );
-    let (bins, _) = targets(Path::new(env!("CARGO_MANIFEST_DIR")));
+    assert_eq!(
+        references("cargo run --example quickstart --release"),
+        [("--example", "quickstart".to_owned())]
+    );
+    let targets = targets(Path::new(env!("CARGO_MANIFEST_DIR")));
     let (flag, name) = &references("cargo run --bin no-such-tool")[0];
     assert_eq!(*flag, "--bin");
-    assert!(!bins.contains(name), "an unknown name is flagged");
+    assert!(!targets[flag].contains(name), "an unknown name is flagged");
 }

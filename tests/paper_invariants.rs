@@ -9,7 +9,7 @@ use powerfits::kernels::kernels::{Kernel, Scale};
 
 fn small_suite() -> powerfits::bench::SuiteResults {
     // A representative subset that covers tiny, mid and cache-straddling
-    // footprints; the full suite runs in the benches and the repro binary.
+    // footprints; the full suite runs in the repro binary.
     run_suite(
         &[
             Kernel::Crc32,
